@@ -167,15 +167,23 @@ class PlanGuard:
         findings at or above ``fail_on`` that the baseline does not
         already carry.  Empty list = the deployment may proceed."""
         self._m_checks.inc()
-        baseline = self._lint(self.cluster.export_plan())
-        candidate = self.cluster.export_plan()
-        for deployment in candidate["deployments"]:
+        plan = self.cluster.export_plan()
+        baseline = self._lint(plan)
+        # One export serves both plans: the candidate copies only what
+        # it changes (the target node's component list, the
+        # deployments list holding it and the applications map).
+        candidate = dict(plan, deployments=list(plan["deployments"]),
+                         applications=dict(plan["applications"]))
+        deployments = candidate["deployments"]
+        for index, deployment in enumerate(deployments):
             if deployment["node"] == node:
-                target = deployment
+                target = dict(deployment,
+                              components=list(deployment["components"]))
+                deployments[index] = target
                 break
         else:
             target = {"node": node, "components": []}
-            candidate["deployments"].append(target)
+            deployments.append(target)
         target["components"].extend(
             {"xml": xml} for xml in descriptor_xmls)
         if application is not None and members is not None:

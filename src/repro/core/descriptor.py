@@ -83,6 +83,12 @@ class ComponentDescriptor:
         if not name:
             raise DescriptorError("component name is required")
         self.name = name
+        #: The six-character RTAI task name for this component.  "The
+        #: name of a component must be globally unique because it is
+        #: used as a task reference" (section 2.3); names longer than
+        #: the RTAI limit are derived deterministically.  Computed once:
+        #: the name never changes after construction.
+        self.task_name = _task_name_for(name)
         if not implementation:
             raise DescriptorError(
                 "component %r: implementation bincode is required" % name)
@@ -105,19 +111,6 @@ class ComponentDescriptor:
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
-    @property
-    def task_name(self):
-        """The six-character RTAI task name for this component.
-
-        "The name of a component must be globally unique because it is
-        used as a task reference" (section 2.3); names longer than the
-        RTAI limit are derived deterministically.
-        """
-        try:
-            return rtai_names.validate_name(self.name)
-        except InvalidTaskNameError:
-            return rtai_names.derive_port_name(self.name, self.name)
-
     @property
     def task_type(self):
         """The contract's task type."""
@@ -158,7 +151,13 @@ class ComponentDescriptor:
     @classmethod
     def from_xml(cls, text):
         """Parse a descriptor document."""
-        root = _parse_root(text)
+        return cls.from_element(_parse_root(text))
+
+    @classmethod
+    def from_element(cls, root):
+        """Build a descriptor from a root element already parsed by
+        :func:`parse_descriptor_tree` (lint reads the raw tree and the
+        descriptor from one parse)."""
         if _local(root.tag) != "component":
             raise DescriptorError(
                 "root element must be drt:component, got %r" % root.tag)
@@ -374,6 +373,13 @@ def _parse_root(text):
         except ET.ParseError as error:
             raise DescriptorError("descriptor XML does not parse: %s"
                                   % error) from None
+
+
+def _task_name_for(name):
+    try:
+        return rtai_names.validate_name(name)
+    except InvalidTaskNameError:
+        return rtai_names.derive_port_name(name, name)
 
 
 def _local(tag):

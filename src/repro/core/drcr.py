@@ -64,7 +64,8 @@ from repro.osgi.tracker import ServiceTracker
 #: OSGi service interface the DRCR registers itself under.
 DRCR_SERVICE_INTERFACE = "drcom.drcr.DeclarativeRTComponentRuntime"
 
-#: Safety cap on reconfiguration fixpoint iterations.
+#: Safety cap on reconfiguration fixpoint iterations, on top of one
+#: pass per registered component (the deepest possible cascade).
 _MAX_RECONFIGURE_PASSES = 100
 
 
@@ -627,8 +628,12 @@ class DRCR:
         if self._retry_failed:
             self._pending_dirty.update(self._retry_failed)
             self._retry_failed.clear()
+        # A dependency chain re-activates one level per pass, so the
+        # cap grows with the registry; an oscillating resolver still
+        # hits it.
+        max_passes = _MAX_RECONFIGURE_PASSES + len(self.registry)
         try:
-            for _ in range(_MAX_RECONFIGURE_PASSES):
+            for _ in range(max_passes):
                 full_pass = self._pending_full
                 work = self._pending_dirty
                 self._pending_full = False
@@ -656,8 +661,7 @@ class DRCR:
                     self._pending_full = True
             raise LifecycleError(
                 "reconfiguration did not converge in %d passes; a "
-                "resolving service is oscillating"
-                % _MAX_RECONFIGURE_PASSES)
+                "resolving service is oscillating" % max_passes)
         finally:
             self._reconfiguring = False
             self._pending_full = False

@@ -8,8 +8,7 @@ degenerate CPU claims.  Everything here runs on descriptor *text* and
 Framework, no DRCR, no kernel.
 """
 
-from repro.core.descriptor import local_tag, parse_descriptor_tree
-from repro.core.errors import DRComError
+from repro.core.descriptor import local_tag
 from repro.lint.diagnostics import Diagnostic
 from repro.rtos import names as rtai_names
 from repro.rtos.errors import InvalidTaskNameError
@@ -41,19 +40,18 @@ _KNOWN_ATTRIBUTES = {
 _FREQUENCY_ATTRIBUTES = ("frequence", "frequency")
 
 
-def check_source_xml(text, location):
-    """Raw-XML schema checks on one descriptor document (DRT104/107).
+def tree_findings(root):
+    """Raw-XML schema checks on one descriptor element tree
+    (DRT104/107), from :func:`~repro.core.descriptor
+    .parse_descriptor_tree`.
 
     Runs on the element tree *before* descriptor construction, so it
-    sees exactly what the tolerant parser would throw away.  Parse
-    failures are not reported here -- the caller reports DRT100 when
-    :meth:`ComponentDescriptor.from_xml` raises.
+    sees exactly what the tolerant parser would throw away.  Returns
+    location-free ``(code, component, message)`` tuples: the lint memo
+    (:mod:`repro.lint.memo`) stores them per descriptor text and each
+    caller stamps its own location on.
     """
-    diagnostics = []
-    try:
-        root = parse_descriptor_tree(text)
-    except DRComError:
-        return diagnostics
+    findings = []
     component = root.attrib.get("name", "")
     elements = [root] + list(root)
     for child in root:
@@ -72,18 +70,18 @@ def check_source_xml(text, location):
                 continue
             if tag in ("aperiodictask", "sporadictask") \
                     and attr in _FREQUENCY_ATTRIBUTES:
-                diagnostics.append(Diagnostic(
-                    "DRT104", component, location,
+                findings.append((
+                    "DRT104", component,
                     "<%s> declares %s=%r but only periodic tasks "
                     "have a frequency; the runtime ignores it"
                     % (tag, attr, element.attrib[raw_name])))
                 continue
-            diagnostics.append(Diagnostic(
-                "DRT107", component, location,
+            findings.append((
+                "DRT107", component,
                 "<%s> attribute %r is not part of the descriptor "
                 "schema; the parser silently ignores it"
                 % (tag, attr)))
-    return diagnostics
+    return findings
 
 
 def check_descriptor(descriptor, location):

@@ -73,8 +73,7 @@ import os
 from repro.adapt.rules import parse_rule_document_tolerant
 from repro.analysis import TaskSpec, response_time
 from repro.cluster.transport import LinkSpec
-from repro.core.descriptor import ComponentDescriptor
-from repro.core.errors import DRComError
+from repro.lint import memo
 # Shared interval arithmetic: DRT606 must agree with DRT503 about
 # when two rule conditions can hold in the same epoch.
 from repro.lint.adaptrules import _compatible, _constraint_map
@@ -303,15 +302,14 @@ def _parse_deployments(document, plan, base_dir, problems):
                     "%s.components[%d] must be a descriptor path or "
                     "an {\"xml\": ...} object" % (where, cindex))
                 continue
-            try:
-                descriptor = ComponentDescriptor.from_xml(text)
-            except DRComError as error:
+            facts = memo.descriptor_facts(text)
+            descriptor = facts.descriptor
+            if descriptor is None:
                 problems.append(
                     "%s: descriptor at %s fails to parse and is "
                     "excluded from the plan analysis: %s"
-                    % (where, comp_location, error))
-                descriptor = None
-            if descriptor is not None:
+                    % (where, comp_location, facts.error))
+            else:
                 other = homes.get(descriptor.name)
                 if other is not None and other != node_name:
                     problems.append(
@@ -777,7 +775,7 @@ def lint_plan_document(document, location="<plan>", families=None,
     convention (None = all).
     """
     # Local import: the engine imports this module at load time.
-    from repro.lint.engine import FAMILIES, lint_descriptor_texts
+    from repro.lint.engine import FAMILIES
     if families is None:
         families = FAMILIES
     plan, problems = parse_plan(document, location, base_dir=base_dir)
@@ -791,15 +789,14 @@ def lint_plan_document(document, location="<plan>", families=None,
     node_families = tuple(f for f in families
                           if f in ("contract", "wiring", "admission"))
     for node_name in plan.nodes:
-        unit = [(comp.location, comp.xml)
-                for comp in plan.components_of(node_name)]
+        unit = tuple((comp.location, comp.xml)
+                     for comp in plan.components_of(node_name))
         if not unit:
             continue
         units += 1
         sources += len(unit)
         if node_families:
-            diagnostics.extend(
-                lint_descriptor_texts(unit, node_families))
+            diagnostics.extend(memo.unit_findings(unit, node_families))
     if plan.rule_sources:
         from repro.lint import adaptrules
         for rule_location, rule_text in plan.rule_sources:

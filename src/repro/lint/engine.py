@@ -38,10 +38,8 @@ import ast
 import os
 import re
 
-from repro.core.descriptor import ComponentDescriptor
-from repro.core.errors import DRComError
 from repro.lint import admission, adaptrules, contracts, deployment, \
-    rtsafety, stochastic, wiring
+    memo, rtsafety, stochastic, wiring
 from repro.lint.diagnostics import Diagnostic, Severity
 
 #: Families selectable by callers (the resolver disables wiring: the
@@ -172,21 +170,21 @@ def lint_descriptor_texts(texts, families=FAMILIES):
     """Lint raw descriptor documents forming one deployment.
 
     ``texts`` is a list of ``(location, xml_text)`` pairs.  Returns a
-    list of diagnostics (parse failures become DRT100).
+    list of diagnostics (parse failures become DRT100).  Texts are
+    parsed through the lint memo (:mod:`repro.lint.memo`), so a text
+    seen recently is not parsed again.
     """
     diagnostics = []
     entries = []
     for location, text in texts:
+        facts = memo.descriptor_facts(text)
         if "contract" in families:
-            diagnostics.extend(
-                contracts.check_source_xml(text, location))
-        try:
-            descriptor = ComponentDescriptor.from_xml(text)
-        except DRComError as error:
+            diagnostics.extend(facts.schema_diagnostics(location))
+        if facts.descriptor is None:
             diagnostics.append(Diagnostic(
-                "DRT100", "", location, str(error)))
+                "DRT100", "", location, facts.error))
             continue
-        entries.append((descriptor, location))
+        entries.append((facts.descriptor, location))
     diagnostics.extend(lint_descriptor_entries(entries, families))
     return diagnostics
 

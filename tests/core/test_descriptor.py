@@ -5,6 +5,8 @@ import pytest
 from repro.core.descriptor import ComponentDescriptor, ComponentProperty
 from repro.core.errors import DescriptorError
 from repro.core.ports import PortInterface
+from repro.rtos import names as rtai_names
+from repro.rtos.errors import InvalidTaskNameError
 from repro.rtos.task import TaskType
 
 #: The paper's Figure 2, verbatim quirks included ("<? xml", bare drt:
@@ -63,6 +65,25 @@ class TestPaperFigure2:
 
     def test_task_name_is_rtai_name(self, descriptor):
         assert descriptor.task_name == "CAMERA"
+
+
+class TestTaskName:
+    """``task_name`` is computed once at construction, on both paths."""
+
+    def test_valid_name_is_upper_cased(self):
+        descriptor = ComponentDescriptor.from_xml(PAPER_FIGURE_2)
+        assert vars(descriptor)["task_name"] == "CAMERA"
+        assert descriptor.contract.name == "CAMERA"
+
+    @pytest.mark.parametrize("name", ["smartcamera", "cam-01"])
+    def test_invalid_name_falls_back_to_derived_name(self, name):
+        with pytest.raises(InvalidTaskNameError):
+            rtai_names.validate_name(name)
+        descriptor = ComponentDescriptor.from_xml(
+            PAPER_FIGURE_2.replace('name="camera"', 'name="%s"' % name))
+        derived = rtai_names.derive_port_name(name, name)
+        assert vars(descriptor)["task_name"] == derived
+        assert descriptor.contract.name == derived
 
 
 class TestParsingVariants:

@@ -48,6 +48,37 @@ class TestConvergenceGuard:
         assert errors
         assert "did not converge" in str(errors[0].error)
 
+    def test_cascade_deeper_than_the_base_cap_converges(self, platform):
+        # A cascade re-activates one dependency level per pass; a
+        # chain deeper than _MAX_RECONFIGURE_PASSES must still come
+        # back whole after its head restarts.
+        from repro.core.drcr import _MAX_RECONFIGURE_PASSES
+        depth = _MAX_RECONFIGURE_PASSES + 50
+        bundles = []
+        for index in range(depth):
+            outport = ("P%04d" % index, "RTAI.SHM", "Integer", 2)
+            inports = [("P%04d" % (index - 1), "RTAI.SHM", "Integer",
+                        2)] if index else []
+            bundles.append(deploy(platform, make_descriptor_xml(
+                "CH%04d" % index, cpuusage=0.001, frequency=100,
+                priority=10, outports=[outport], inports=inports)))
+        names = ["CH%04d" % index for index in range(depth)]
+
+        def states():
+            return {platform.drcr.component_state(name)
+                    for name in names[1:]}
+
+        assert states() == {ComponentState.ACTIVE}
+        bundles[0].stop()
+        assert states() == {ComponentState.UNSATISFIED}
+        bundles[0].start()
+        assert platform.drcr.component_state(names[0]) \
+            is ComponentState.ACTIVE
+        assert states() == {ComponentState.ACTIVE}
+        errors = [e for e in platform.framework.framework_events
+                  if "did not converge" in str(getattr(e, "error", ""))]
+        assert errors == []
+
 
 class TestResolvingServiceDynamics:
     class TogglingService(ResolvingService):
