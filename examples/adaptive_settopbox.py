@@ -4,64 +4,66 @@
 "An example is given by the Set-Top Boxes needed to decode/encode media
 data, which has typical soft real-time characteristics."
 
-The box runs on one CPU:
+The box runs on one CPU; a component's importance is its task
+priority (lower number = more important):
 
-* **decode** -- the 50 Hz video decoder (high importance, priority 1),
+* **decode** -- the 50 Hz video decoder (priority 1),
 * **osd** -- the 25 Hz on-screen display reading the decoder's frame
-  port (medium importance),
+  port (priority 2),
 * **rec** -- a second decode chain for background recording that a
-  user switches on mid-flight (continuous deployment!),
-* **epg** -- an electronic-program-guide indexer, aperiodic, low
-  importance.
+  user switches on mid-flight (continuous deployment!, priority 3),
+* **epg** -- an electronic-program-guide indexer (priority 4).
 
 The demonstration:
 
 1. the DRCR's admission control (RM response-time analysis) protects
    the running decode pipeline when the recording chain arrives -- the
    overloaded configuration is simply *not admitted*;
-2. with a relaxed budget the recorder is admitted, pressure appears,
-   and an importance-shedding adaptation manager suspends the least
-   important component instead of letting the decoder miss frames;
+2. with admission off the recorder is admitted, pressure appears, and
+   two declarative rules (``examples/settopbox.rules.json``, evaluated
+   by :class:`~repro.adapt.controller.AdaptationController`) shed the
+   least important component instead of letting the decoder miss
+   frames.  The policy is data, so drtlint audits it before it runs:
+   ``python -m repro lint --family DRT5 examples/``;
 3. Linux-side stress (the JVM's garbage collector, downloads) never
    touches the decode latency -- the dual-kernel guarantee.
 
 Run:  python examples/adaptive_settopbox.py
 """
 
+import os
+
 from repro import build_platform
-from repro.core import (
-    AdaptationManager,
-    ComponentState,
-    ImportanceShedding,
-    ResponseTimeAnalysisPolicy,
-    UtilizationBoundPolicy,
-)
+from repro.adapt import AdaptationController, JsonRuleProvider
+from repro.core import AlwaysAcceptPolicy, ResponseTimeAnalysisPolicy
 from repro.rtos.load import JVMGarbageCollectorLoad, apply_stress
 from repro.sim.engine import MSEC, SEC
 
+RULES_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "settopbox.rules.json")
 
-def component_xml(name, frequency, priority, cpuusage, importance,
-                  outports="", inports=""):
+
+def component_xml(name, frequency, priority, cpuusage, outports="",
+                  inports=""):
     return """<?xml version="1.0" encoding="UTF-8"?>
 <drt:component name="%s" type="periodic" enabled="true" cpuusage="%s">
   <implementation bincode="stb.%s"/>
   <periodictask frequence="%s" runoncpu="0" priority="%d"/>
   %s%s
-  <property name="importance" type="Integer" value="%d"/>
 </drt:component>""" % (name, cpuusage, name, frequency, priority,
-                       outports, inports, importance)
+                       outports, inports)
 
 
 DECODE_XML = component_xml(
-    "DECODE", 50, 1, 0.40, importance=10,
+    "DECODE", 50, 1, 0.40,
     outports='<outport name="FRAME0" interface="RTAI.SHM" type="Byte" '
              'size="128"/>')
 OSD_XML = component_xml(
-    "OSD000", 25, 2, 0.15, importance=5,
+    "OSD000", 25, 2, 0.15,
     inports='<inport name="FRAME0" interface="RTAI.SHM" type="Byte" '
             'size="128"/>')
-REC_XML = component_xml("REC000", 50, 3, 0.35, importance=3)
-EPG_XML = component_xml("EPG000", 5, 4, 0.20, importance=1)
+REC_XML = component_xml("REC000", 50, 3, 0.35)
+EPG_XML = component_xml("EPG000", 5, 4, 0.20)
 
 
 def deploy(platform, name, xml):
@@ -97,11 +99,10 @@ def main():
           % decode_task.stats.deadline_misses)
     platform.shutdown()
 
-    print("\n== phase 2: admission disabled + importance shedding ==")
+    print("\n== phase 2: admission disabled + declarative shedding ==")
     # An operator who *insists* on the recorder can turn admission off;
-    # the adaptation manager then keeps the box alive by shedding the
-    # least important component instead.
-    from repro.core import AlwaysAcceptPolicy
+    # the rules then keep the box alive by shedding the least important
+    # component instead.
     platform = build_platform(
         seed=31, internal_policy=AlwaysAcceptPolicy())
     platform.start_timer(1 * MSEC)
@@ -112,32 +113,19 @@ def main():
     print("all four deployed:",
           states(platform, "DECODE", "OSD000", "EPG000", "REC000"))
 
-    last_counts = {}
-
-    def pressure(statuses):
-        # Pressure = NEW misses/overruns since the previous poll, so
-        # shedding stops once the remaining set runs clean.
-        pressed = False
-        for status in statuses:
-            stats = status.get("task", {}).get("stats", {})
-            count = (stats.get("deadline_misses", 0)
-                     + stats.get("overruns", 0))
-            if count > last_counts.get(status["name"], 0):
-                pressed = True
-            last_counts[status["name"]] = count
-        return pressed
-
-    manager = AdaptationManager(platform.framework,
-                                rules=[ImportanceShedding(pressure)])
-    for _ in range(8):
-        platform.run_for(250 * MSEC)
-        actions = manager.poll()
-        if actions:
-            print("  adaptation:", actions)
-            # Absorb the misses that accrued before the shed took
-            # effect, so one shed gets a full window to prove itself.
-            platform.run_for(50 * MSEC)
-            pressure(manager.statuses())
+    provider = JsonRuleProvider(RULES_PATH)
+    print("rules from %s: %s"
+          % (os.path.basename(RULES_PATH),
+             ", ".join(rule.name for rule in provider.rules())))
+    controller = AdaptationController(platform, epoch_ns=50 * MSEC)
+    # Registered through OSGi, exactly like a management bundle would:
+    # unregistering the provider at run time withdraws the policy.
+    registration = provider.register(platform.framework)
+    controller.start()
+    platform.run_for(3 * SEC)
+    for entry in controller.history:
+        print("  %6.2f s  %-16s %s"
+              % (entry["at_ns"] / SEC, entry["rule"], entry["outcome"]))
     print("after shedding:",
           states(platform, "DECODE", "OSD000", "EPG000", "REC000"))
     decode_task = platform.kernel.lookup("DECODE")
@@ -157,7 +145,8 @@ def main():
     print("decode latency, GC + stress: avg=%8.1f ns avedev=%7.1f ns"
           % (stressed["average"], stressed["avedev"]))
     print("decoder misses total:", decode_task.stats.deadline_misses)
-    manager.close()
+    registration.unregister()
+    controller.stop()
     platform.shutdown()
 
 

@@ -11,14 +11,14 @@ to end with the repository's extensions:
   plant leave its safe band -- released through the component's own
   container, with the kernel enforcing the declared 50 ms minimum
   inter-arrival time no matter how wildly the plant misbehaves;
-* an **adaptation manager polls inside simulated time** (a plain
-  Linux-side activity, exactly where the paper puts it).
+* a **Linux-side glue callback** runs every 20 ms of simulated time
+  and releases the alarm handler while alarms are queued -- a plain
+  ``sim.schedule`` activity, exactly where the paper puts non-RT code.
 
 Run:  python examples/control_loop.py
 """
 
 from repro import build_platform
-from repro.core import AdaptationManager, AdaptationRule
 from repro.hybrid import RTImplementation, make_container_factory
 from repro.hybrid.implementation import ImplementationRegistry
 from repro.rtos.dio import SineWave, attach_dio
@@ -74,24 +74,22 @@ class AlarmHandler(RTImplementation):
             + drained
 
 
-class ReleaseAlarmOnQueue(AdaptationRule):
-    """The Linux-side glue: when alarms queue up, release the sporadic
-    handler (the kernel throttles over-eager releases)."""
+def release_alarm_on_queue(platform, period_ns):
+    """The Linux-side glue: every ``period_ns``, release the sporadic
+    handler while alarms are queued (the kernel throttles over-eager
+    releases).  Returns the list of release times, filled as it runs."""
+    queue = platform.kernel.lookup("ALARMQ")
+    container = platform.drcr.component("ALARM0").container
+    releases = []
 
-    name = "release-alarm"
+    def tick():
+        if len(queue):
+            container.release()
+            releases.append(platform.now)
+        platform.sim.schedule(period_ns, tick, label="alarm-glue")
 
-    def __init__(self, platform):
-        self.platform = platform
-
-    def apply(self, status, management, manager):
-        if status["name"] != "ALARM0":
-            return None
-        queue = self.platform.kernel.lookup("ALARMQ")
-        if len(queue) == 0:
-            return None
-        container = self.platform.drcr.component("ALARM0").container
-        container.release()
-        return "released alarm handler (%d queued)" % len(queue)
+    platform.sim.schedule(period_ns, tick, label="alarm-glue")
+    return releases
 
 
 def main():
@@ -112,9 +110,7 @@ def main():
              "RT-Component": "OSGI-INF/c.xml"},
             resources={"OSGI-INF/c.xml": xml})
 
-    manager = AdaptationManager(
-        platform.framework, rules=[ReleaseAlarmOnQueue(platform)])
-    manager.start_periodic_polling(platform.sim, 20 * MSEC)
+    releases = release_alarm_on_queue(platform, 20 * MSEC)
 
     platform.run_for(2 * SEC)
 
@@ -139,8 +135,7 @@ def main():
     print("  deadline misses      : controller=%d alarm=%d"
           % (ctrl_task.stats.deadline_misses,
              alarm_task.stats.deadline_misses))
-    print("  adaptation actions   :", len(manager.log))
-    manager.close()
+    print("  glue releases        :", len(releases))
     platform.shutdown()
 
 

@@ -9,21 +9,19 @@ user-facing implementation API:
   interest into the ``IMAGES`` shared-memory port; the region size is a
   live component property (``roi``);
 * a **tracker** component consumes the region and estimates motion;
-* an **adaptation manager** watches the tracker's status and shrinks
-  the camera's ROI when the tracker starts missing deadlines -- the
-  paper's "adjust the parameter ... according to current available
-  resources" loop, implemented purely against the management services
-  in the OSGi registry.
+* an **adaptation rule** scoped to the tracker shrinks the camera's
+  ROI when the tracker starts missing deadlines -- the paper's "adjust
+  the parameter ... according to current available resources" loop,
+  reading the tracker's management status and writing the camera's
+  property through its management service.
 
 Run:  python examples/smart_camera.py
 """
 
 from repro import build_platform
-from repro.core import (
-    AdaptationManager,
-    AlwaysAcceptPolicy,
-    PropertyTuningRule,
-)
+from repro.adapt import AdaptationController, ComponentContextProvider
+from repro.adapt.rules import parse_rule_document
+from repro.core import AlwaysAcceptPolicy
 from repro.hybrid import RTImplementation, make_container_factory
 from repro.hybrid.implementation import ImplementationRegistry
 from repro.sim.engine import MSEC, SEC
@@ -37,6 +35,17 @@ CAMERA_XML = """<?xml version="1.0" encoding="UTF-8"?>
   <property name="roi" type="Integer" value="400"/>
 </drt:component>
 """
+
+#: More than 5 tracker misses in one epoch halves the camera's ROI,
+#: once.
+SHRINK_ROI = {"rules": [{
+    "name": "shrink-roi",
+    "when": {"param": "deadline_misses", "component": "tracker",
+             "op": ">", "value": 5},
+    "then": {"action": "set_property", "component": "camera",
+             "property": "roi", "value": 200},
+    "max_firings": 1,
+}]}
 
 TRACKER_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <drt:component name="tracker" desc="estimates target motion"
@@ -111,26 +120,18 @@ def main():
              "RT-Component": "OSGI-INF/c.xml"},
             resources={"OSGI-INF/c.xml": xml})
 
-    def tracker_misses(status):
-        task = status.get("task")
-        return bool(task) and task["stats"]["deadline_misses"] > 5
-
-    # When the tracker misses deadlines, shrink the camera's ROI.
-    manager = AdaptationManager(platform.framework, rules=[
-        PropertyTuningRule(
-            predicate=lambda status: (status["name"] == "camera"
-                                      and any(tracker_misses(s)
-                                              for s in manager_statuses)),
-            property_name="roi", new_value=200),
-    ])
-    manager_statuses = []
+    controller = AdaptationController(
+        platform, epoch_ns=250 * MSEC,
+        rules=parse_rule_document(SHRINK_ROI),
+        providers=[ComponentContextProvider(platform.framework)]).start()
 
     tracker_task = platform.drcr.component("tracker").container.task
     print("running with ROI=400 (tracker blows its 5 ms deadline):")
     for cycle in range(6):
+        fired = len(controller.history)
         platform.run_for(250 * MSEC)
-        manager_statuses[:] = manager.statuses()
-        actions = manager.poll()
+        actions = [entry["outcome"]
+                   for entry in controller.history[fired:]]
         print("  t=%4dms  tracker misses=%-4d overruns=%-4d %s"
               % (platform.now // MSEC,
                  tracker_task.stats.deadline_misses,
@@ -149,7 +150,7 @@ def main():
     tracker = platform.drcr.component("tracker")
     print("tracker estimate property:",
           tracker.container.get_property("estimate"))
-    manager.close()
+    controller.stop()
     platform.shutdown()
 
 

@@ -17,7 +17,11 @@ Packages
 ``repro.core``
     The paper's contribution: DRCom descriptors, the Figure-1
     lifecycle, the DRCR runtime, resolving services and admission
-    policies, the management interface, adaptation managers.
+    policies, the management interface.
+``repro.adapt``
+    Adaptation managers as declarative rules: context providers, a
+    damped rule evaluator, and a controller acting through the
+    management interface.
 ``repro.hybrid``
     The HRC split container: RT part + management part bridged by the
     asynchronous command protocol.

@@ -6,8 +6,9 @@ package is that loop made declarative, following the CoBAUI
 decomposition (SNIPPETS.md):
 
 * **Context Providers** (:mod:`repro.adapt.context`) sample live
-  telemetry instruments, kernel task statistics and cluster
-  membership into named context parameters, windowed per epoch;
+  telemetry instruments, kernel task statistics, cluster membership
+  and (opt-in) per-component management status into named context
+  parameters, windowed per epoch;
 * **Rule Providers** (:mod:`repro.adapt.rules`) contribute
   JSON-declared, schema-validated rules -- statically, or hot
   added/removed at run time through the OSGi service registry;
@@ -29,6 +30,7 @@ from repro.adapt.actions import ACTIONS, target_key, validate_action
 from repro.adapt.context import (
     CONTEXT_PARAMS,
     ClusterContextProvider,
+    ComponentContextProvider,
     ContextProvider,
     KernelContextProvider,
     StaticContextProvider,
@@ -61,6 +63,7 @@ __all__ = [
     "AdaptationController",
     "AdaptationRule",
     "ClusterContextProvider",
+    "ComponentContextProvider",
     "ContextProvider",
     "Firing",
     "JsonRuleProvider",

@@ -30,10 +30,22 @@ fleet.  :class:`ClusterContextProvider` recovers per-node visibility
 from each node's *public* kernel task list (``kernel.tasks`` /
 ``task.stats``) and publishes node-scoped parameters under
 ``<param>@<node>`` -- the form a rule's ``"node"`` field resolves to.
+
+Component scoping
+-----------------
+The §2.4 management services expose each component's own status.
+:class:`ComponentContextProvider` publishes that view under
+``<param>#<component>`` -- the form a rule's ``"component"`` field
+resolves to -- so per-component QoS checks (deadline misses, budget
+overuse) are ordinary rules.  It is opt-in: every ``get_status()``
+summarises the task's whole latency series, too costly to pay each
+epoch on a controller whose rules never read the view.
 """
 
 import math
 
+from repro.core.management import MANAGEMENT_SERVICE_INTERFACE
+from repro.sim.engine import MSEC
 from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS_NS
 
 #: The largest value a grid percentile can report: samples past the
@@ -41,110 +53,130 @@ from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS_NS
 #: :func:`percentile_from_buckets` and docs/ADAPTATION.md).
 LATENCY_GRID_MAX_NS = float(DEFAULT_LATENCY_BOUNDS_NS[-1])
 
+#: CPU time a component must have used before its ``budget_ratio`` is
+#: published: shorter samples say more about release phase than about
+#: budget.
+BUDGET_WARMUP_NS = 10 * MSEC
+
 #: Catalog of context parameters the built-in providers can publish.
 #: ``range`` is the closed interval of values the parameter can take
 #: (``None`` = unbounded on that side); drtlint's DRT504 unreachable-
 #: predicate check reads it.  ``node_scoped`` marks parameters that are
-#: (also) published per node as ``<param>@<node>``.  ``clamp_max``
-#: marks parameters whose reported value saturates at that number even
-#: though the underlying quantity is unbounded (histogram-grid
-#: percentiles, see :func:`percentile_from_buckets`); drtlint's DRT506
+#: (also) published per node as ``<param>@<node>``, and
+#: ``component_scoped`` those published per component as
+#: ``<param>#<component>``.  ``clamp_max`` marks parameters whose
+#: reported value saturates at that number even though the underlying
+#: quantity is unbounded (histogram-grid percentiles, see
+#: :func:`percentile_from_buckets`); drtlint's DRT506
 #: unreachable-threshold check reads it.
 CONTEXT_PARAMS = {
     "deadline_miss_rate": {
         "description": "deadline misses per release this epoch",
-        "range": (0.0, 1.0), "node_scoped": True,
+        "range": (0.0, 1.0), "node_scoped": True, "component_scoped": False,
     },
     "deadline_misses": {
         "description": "deadline misses this epoch",
-        "range": (0.0, None), "node_scoped": True,
+        "range": (0.0, None), "node_scoped": True, "component_scoped": True,
+    },
+    "budget_ratio": {
+        "description": "measured utilization / declared cpuusage "
+                       "(after BUDGET_WARMUP_NS of CPU time)",
+        "range": (0.0, None), "node_scoped": False, "component_scoped": True,
     },
     "releases": {
         "description": "task releases this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "overruns": {
         "description": "WCET overruns this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "preemptions": {
         "description": "preemptions this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "dispatch_latency_p50": {
         "description": "median dispatch latency this epoch (ns, "
                        "bucket upper bound)",
-        "range": (None, None), "node_scoped": False,
+        "range": (None, None), "node_scoped": False, "component_scoped": False,
         "clamp_max": LATENCY_GRID_MAX_NS,
     },
     "dispatch_latency_p95": {
         "description": "95th-percentile dispatch latency this epoch "
                        "(ns, bucket upper bound)",
-        "range": (None, None), "node_scoped": False,
+        "range": (None, None), "node_scoped": False, "component_scoped": False,
         "clamp_max": LATENCY_GRID_MAX_NS,
     },
     "dispatch_latency_p99": {
         "description": "99th-percentile dispatch latency this epoch "
                        "(ns, bucket upper bound)",
-        "range": (None, None), "node_scoped": False,
+        "range": (None, None), "node_scoped": False, "component_scoped": False,
         "clamp_max": LATENCY_GRID_MAX_NS,
     },
     "dispatch_latency_mean": {
         "description": "mean dispatch latency this epoch (ns)",
-        "range": (None, None), "node_scoped": False,
+        "range": (None, None), "node_scoped": False, "component_scoped": False,
     },
     "active_components": {
         "description": "components currently ACTIVE",
-        "range": (0.0, None), "node_scoped": True,
+        "range": (0.0, None), "node_scoped": True, "component_scoped": False,
     },
     "quarantines": {
         "description": "components quarantined this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "admission_rejections": {
         "description": "admissions rejected this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "rt_utilization": {
         "description": "fraction of the epoch the RT domain was busy",
-        "range": (0.0, None), "node_scoped": True,
+        "range": (0.0, None), "node_scoped": True, "component_scoped": False,
     },
     "alive_nodes": {
         "description": "cluster members currently alive",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "dead_nodes": {
         "description": "cluster members declared dead",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "migrations": {
         "description": "migrations begun this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "failovers": {
         "description": "failovers begun this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
     "stochastic_violations": {
         "description": "stochastic-contract violations this epoch",
-        "range": (0.0, None), "node_scoped": True,
+        "range": (0.0, None), "node_scoped": True, "component_scoped": False,
     },
     "stochastic_checks": {
         "description": "stochastic-contract checks evaluated this epoch",
-        "range": (0.0, None), "node_scoped": False,
+        "range": (0.0, None), "node_scoped": False, "component_scoped": False,
     },
 }
 
 
-def scoped(param, node=None):
-    """The context key for ``param`` on ``node`` (``None`` = global)."""
+def scoped(param, node=None, component=None):
+    """The context key for ``param`` on ``node`` or ``component``
+    (neither = global)."""
+    if component is not None:
+        return "%s#%s" % (param, component)
     return param if node is None else "%s@%s" % (param, node)
+
+
+def _catalog_entry(key):
+    """The catalog entry behind a (possibly scoped) context key."""
+    return CONTEXT_PARAMS.get(key.split("@", 1)[0].split("#", 1)[0])
 
 
 def param_range(param):
     """``(lo, hi)`` documented range (``None`` ends = unbounded), or
     ``(None, None)`` for parameters outside the catalog."""
-    entry = CONTEXT_PARAMS.get(param.split("@", 1)[0])
+    entry = _catalog_entry(param)
     if entry is None:
         return (None, None)
     return entry["range"]
@@ -153,7 +185,7 @@ def param_range(param):
 def param_clamp_max(param):
     """The saturation ceiling of a grid-clamped parameter (the largest
     value it can ever report), or ``None`` for unclamped parameters."""
-    entry = CONTEXT_PARAMS.get(param.split("@", 1)[0])
+    entry = _catalog_entry(param)
     if entry is None:
         return None
     return entry.get("clamp_max")
@@ -195,17 +227,14 @@ def percentile_from_buckets(bounds, delta_counts, quantile):
     return float(bounds[-1])
 
 
-class _CounterWindow:
-    """Delta tracker for one cumulative counter/gauge value."""
+class _Windows(dict):
+    """Per-key delta trackers for cumulative counter/gauge values."""
 
-    __slots__ = ("_last",)
-
-    def __init__(self):
-        self._last = 0
-
-    def delta(self, value):
-        change = value - self._last
-        self._last = value
+    def delta(self, key, value):
+        """``value`` minus ``key``'s previous sample (0 before the
+        first)."""
+        change = value - self.get(key, 0)
+        self[key] = value
         return change
 
 
@@ -222,39 +251,33 @@ class TelemetryContextProvider(ContextProvider):
 
     def __init__(self, telemetry):
         self._telemetry = telemetry
-        self._windows = {}
+        self._windows = _Windows()
         self._hist_counts = None
         self._hist_stats = (0, 0.0)  # (count, sum)
-
-    def _window(self, key, value):
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = _CounterWindow()
-        return window.delta(value)
 
     def collect(self, now_ns):
         rtos = self._telemetry.registry("rtos")
         drcr = self._telemetry.registry("drcr")
-        misses = self._window(
+        misses = self._windows.delta(
             "misses", rtos.counter("deadline_misses_total").value)
-        releases = self._window(
+        releases = self._windows.delta(
             "releases", rtos.counter("releases_total").value)
         context = {
             "deadline_misses": float(misses),
             "releases": float(releases),
             "deadline_miss_rate":
                 misses / releases if releases > 0 else 0.0,
-            "overruns": float(self._window(
+            "overruns": float(self._windows.delta(
                 "overruns", rtos.counter("overruns_total").value)),
-            "preemptions": float(self._window(
+            "preemptions": float(self._windows.delta(
                 "preemptions",
                 rtos.counter("preemptions_total").value)),
             "active_components":
                 float(drcr.gauge("components_active").value),
-            "quarantines": float(self._window(
+            "quarantines": float(self._windows.delta(
                 "quarantines",
                 drcr.counter("quarantines_total").value)),
-            "admission_rejections": float(self._window(
+            "admission_rejections": float(self._windows.delta(
                 "rejections",
                 drcr.counter("admission_rejections_total").value)),
         }
@@ -302,14 +325,8 @@ class KernelContextProvider(ContextProvider):
     def __init__(self, kernel, node=None):
         self._kernel = kernel
         self._node = node
-        self._windows = {}
+        self._windows = _Windows()
         self._last_now = None
-
-    def _window(self, key, value):
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = _CounterWindow()
-        return window.delta(value)
 
     def collect(self, now_ns):
         kernel = self._kernel
@@ -318,9 +335,9 @@ class KernelContextProvider(ContextProvider):
             stats = task.stats
             misses += stats.deadline_misses
             activations += stats.activations
-        misses = self._window("misses", misses)
-        activations = self._window("activations", activations)
-        busy = self._window("busy", kernel.rt_busy_ns())
+        misses = self._windows.delta("misses", misses)
+        activations = self._windows.delta("activations", activations)
+        busy = self._windows.delta("busy", kernel.rt_busy_ns())
         elapsed = (now_ns - self._last_now
                    if self._last_now is not None else now_ns)
         self._last_now = now_ns
@@ -347,17 +364,11 @@ class ClusterContextProvider(ContextProvider):
 
     def __init__(self, cluster):
         self._cluster = cluster
-        self._windows = {}
+        self._windows = _Windows()
         self._per_node = {
             name: KernelContextProvider(node.kernel, node=name)
             for name, node in cluster.nodes.items()
         }
-
-    def _window(self, key, value):
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = _CounterWindow()
-        return window.delta(value)
 
     def collect(self, now_ns):
         cluster = self._cluster
@@ -366,10 +377,10 @@ class ClusterContextProvider(ContextProvider):
         context = {
             "alive_nodes": float(len(alive)),
             "dead_nodes": float(len(cluster.nodes) - len(alive)),
-            "migrations": float(self._window(
+            "migrations": float(self._windows.delta(
                 "migrations",
                 metrics.counter("migrations_total").value)),
-            "failovers": float(self._window(
+            "failovers": float(self._windows.delta(
                 "failovers",
                 metrics.counter("failovers_total").value)),
         }
@@ -379,6 +390,47 @@ class ClusterContextProvider(ContextProvider):
                 context.update(provider.collect(now_ns))
             context[scoped("active_components", node.name)] = float(
                 len(node.drcr.registry.active()))
+        return context
+
+
+class ComponentContextProvider(ContextProvider):
+    """Per-component parameters from the §2.4 management services.
+
+    Each epoch reads ``get_status()`` of every management service
+    registered in ``framework`` and publishes, per ACTIVE component,
+    ``deadline_misses#<name>`` (windowed like every other counter)
+    and, once the component has used :data:`BUDGET_WARMUP_NS` of CPU
+    time, ``budget_ratio#<name>``: measured utilization over declared
+    ``cpuusage``.  Inactive components publish nothing, so a rule that
+    suspended one stops matching it.  Opt-in (see the module
+    docstring): pass it in the controller's ``providers``.
+    """
+
+    def __init__(self, framework):
+        self._framework = framework
+        self._windows = _Windows()
+
+    def collect(self, now_ns):
+        registry = self._framework.registry
+        context = {}
+        for reference in registry.get_references(
+                MANAGEMENT_SERVICE_INTERFACE):
+            status = registry.get_service(reference).get_status()
+            if status["state"] != "active":
+                continue
+            name = status["name"]
+            task = status["task"]
+            stats = task["stats"]
+            misses = stats["deadline_misses"]
+            delta = self._windows.delta(name, misses)
+            # A redeployed component's task counts from zero again.
+            context[scoped("deadline_misses", component=name)] = float(
+                delta if delta >= 0 else misses)
+            if stats["cpu_time_ns"] >= BUDGET_WARMUP_NS:
+                declared = status["contract"]["cpuusage"]
+                measured = task["measured_utilization"]
+                context[scoped("budget_ratio", component=name)] = (
+                    measured / declared if declared > 0 else math.inf)
         return context
 
 

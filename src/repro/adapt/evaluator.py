@@ -28,7 +28,6 @@ which is what you want when a rule file is hot-reloaded in place.
 """
 
 from repro.adapt.actions import target_key
-from repro.adapt.context import scoped
 from repro.adapt.rules import OPS
 
 #: Epochs of context history kept for trend predicates.
@@ -96,7 +95,7 @@ class RuleEvaluator:
         if kind == "any":
             return any(self.holds(child, context)
                        for child in predicate.children)
-        key = scoped(predicate.param, predicate.node)
+        key = predicate.key
         if kind == "trend":
             values = self._series(key, predicate.epochs)
             if values is None:

@@ -18,8 +18,8 @@ A rule file is one JSON document::
     }
 
 ``when`` is a predicate tree: a *threshold* leaf (``param``/``op``/
-``value``, optional ``node`` scope and ``for_epochs`` arming
-hysteresis), a *trend* leaf (``param``/``trend``: ``rising`` or
+``value``, optional ``node`` or ``component`` scope and ``for_epochs``
+arming hysteresis), a *trend* leaf (``param``/``trend``: ``rising`` or
 ``falling`` over ``epochs`` consecutive observations), or an ``all``/
 ``any`` group of sub-predicates.  ``clear`` (optional) latches the rule
 after a firing until the clear condition holds -- release hysteresis.
@@ -44,7 +44,7 @@ needs no controller cooperation beyond the per-epoch registry query.
 """
 
 from repro.adapt.actions import validate_action
-from repro.adapt.context import CONTEXT_PARAMS
+from repro.adapt.context import CONTEXT_PARAMS, scoped
 
 #: OSGi service interface for rule providers (``rules()`` duck type).
 RULE_PROVIDER_INTERFACE = "drcom.adapt.RuleProvider"
@@ -82,20 +82,25 @@ class Predicate:
     """One validated ``when``/``clear`` node.
 
     ``kind`` is ``"threshold"``, ``"trend"``, ``"all"`` or ``"any"``.
-    Leaves carry ``param`` (catalog name), optional ``node`` scope,
-    and either ``op``/``value`` or ``trend``/``epochs``; groups carry
+    Leaves carry ``param`` (catalog name), an optional ``node`` or
+    ``component`` scope, the context ``key`` those resolve to, and
+    either ``op``/``value`` or ``trend``/``epochs``; groups carry
     ``children``.
     """
 
-    __slots__ = ("kind", "param", "node", "op", "value", "trend",
-                 "epochs", "for_epochs", "children")
+    __slots__ = ("kind", "param", "node", "component", "key", "op",
+                 "value", "trend", "epochs", "for_epochs", "children")
 
-    def __init__(self, kind, param=None, node=None, op=None,
-                 value=None, trend=None, epochs=2, for_epochs=1,
+    def __init__(self, kind, param=None, node=None, component=None,
+                 op=None, value=None, trend=None, epochs=2, for_epochs=1,
                  children=()):
         self.kind = kind
         self.param = param
         self.node = node
+        self.component = component
+        #: The context key the evaluator and drtlint read, built once.
+        self.key = None if param is None \
+            else scoped(param, node, component)
         self.op = op
         self.value = value
         self.trend = trend
@@ -124,6 +129,8 @@ class Predicate:
                     "value": self.value}
         if self.node is not None:
             data["node"] = self.node
+        if self.component is not None:
+            data["component"] = self.component
         if self.for_epochs != 1:
             data["for_epochs"] = self.for_epochs
         return data
@@ -174,6 +181,23 @@ def _is_number(value):
         and not isinstance(value, bool)
 
 
+def _parse_scope(data, field, param, where, problems):
+    """Validate a leaf's optional ``node``/``component`` scope; returns
+    the scope name or ``None``."""
+    name = data.get(field)
+    if name is None:
+        return None
+    if not isinstance(name, str) or not name:
+        problems.append("%s: %r must be a non-empty string"
+                        % (where, field))
+        return None
+    if param in CONTEXT_PARAMS \
+            and not CONTEXT_PARAMS[param][field + "_scoped"]:
+        problems.append("%s: parameter %r is not %s-scoped"
+                        % (where, param, field))
+    return name
+
+
 def _parse_predicate(data, where, problems, default_param=None):
     """Validate one predicate node; returns a :class:`Predicate` or
     ``None`` (problems appended either way)."""
@@ -207,24 +231,19 @@ def _parse_predicate(data, where, problems, default_param=None):
     if param not in CONTEXT_PARAMS:
         problems.append("%s: unknown context parameter %r"
                         % (where, param))
-    node = data.get("node")
-    if node is not None:
-        if not isinstance(node, str) or not node:
-            problems.append("%s: 'node' must be a non-empty string"
-                            % where)
-            node = None
-        elif param in CONTEXT_PARAMS \
-                and not CONTEXT_PARAMS[param]["node_scoped"]:
-            problems.append("%s: parameter %r is not node-scoped"
-                            % (where, param))
+    node = _parse_scope(data, "node", param, where, problems)
+    component = _parse_scope(data, "component", param, where, problems)
+    if node is not None and component is not None:
+        problems.append("%s: 'node' and 'component' are mutually "
+                        "exclusive" % where)
     for_epochs = data.get("for_epochs", 1)
     if not isinstance(for_epochs, int) or isinstance(for_epochs, bool) \
             or for_epochs < 1:
         problems.append("%s: 'for_epochs' must be a positive integer"
                         % where)
         for_epochs = 1
-    known = {"param", "node", "for_epochs", "op", "value", "trend",
-             "epochs"}
+    known = {"param", "node", "component", "for_epochs", "op", "value",
+             "trend", "epochs"}
     extra = set(data) - known
     if extra:
         problems.append("%s: unknown keys %s" % (where, sorted(extra)))
@@ -242,7 +261,8 @@ def _parse_predicate(data, where, problems, default_param=None):
             problems.append("%s: 'epochs' must be an integer >= 2"
                             % where)
             epochs = 2
-        return Predicate("trend", param=param, node=node, trend=trend,
+        return Predicate("trend", param=param, node=node,
+                         component=component, trend=trend,
                          epochs=epochs, for_epochs=for_epochs)
     op = data.get("op")
     if op not in OPS:
@@ -254,8 +274,9 @@ def _parse_predicate(data, where, problems, default_param=None):
         problems.append("%s: 'value' must be a number, got %r"
                         % (where, value))
         return None
-    return Predicate("threshold", param=param, node=node, op=op,
-                     value=value, for_epochs=for_epochs)
+    return Predicate("threshold", param=param, node=node,
+                     component=component, op=op, value=value,
+                     for_epochs=for_epochs)
 
 
 def _parse_rule(data, index, problems):

@@ -10,18 +10,12 @@ Public surface:
 * the management interface (section 2.4) in
   :mod:`repro.core.management`,
 * resolving services and built-in policies in
-  :mod:`repro.core.resolving` / :mod:`repro.core.policies`,
-* adaptation managers in :mod:`repro.core.adaptation`.
+  :mod:`repro.core.resolving` / :mod:`repro.core.policies`.
+
+Adaptation managers -- the §2.4 clients of the management services --
+are rules run by :mod:`repro.adapt`.
 """
 
-from repro.core.adaptation import (
-    AdaptationManager,
-    AdaptationRule,
-    BudgetOveruseRule,
-    ImportanceShedding,
-    PropertyTuningRule,
-    SuspendOnDeadlineMisses,
-)
 from repro.core.application import ApplicationDescriptor
 from repro.core.component import DRComComponent, LifecycleToken
 from repro.core.contracts import RealTimeContract
@@ -90,11 +84,8 @@ from repro.core.resolving import (
 )
 
 __all__ = [
-    "AdaptationManager",
     "ApplicationDescriptor",
     "BestFitPlacement",
-    "BudgetOveruseRule",
-    "AdaptationRule",
     "AdmissionError",
     "AlwaysAcceptPolicy",
     "AlwaysRejectPolicy",
@@ -118,7 +109,6 @@ __all__ = [
     "DuplicateComponentError",
     "EDFPolicy",
     "GlobalView",
-    "ImportanceShedding",
     "INSTANTIATED_STATES",
     "LifecycleError",
     "LifecycleToken",
@@ -136,14 +126,12 @@ __all__ = [
     "PortSpec",
     "PORT_DATA_TYPES",
     "PriorityBandPolicy",
-    "PropertyTuningRule",
     "reachable_states",
     "RealTimeContract",
     "RESOLVING_SERVICE_INTERFACE",
     "ResolvingService",
     "ResponseTimeAnalysisPolicy",
     "RTComponentManagement",
-    "SuspendOnDeadlineMisses",
     "export_state",
     "restore_state",
     "system_report",

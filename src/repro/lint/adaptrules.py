@@ -31,7 +31,7 @@ this module checks what only a whole-file view can see:
 import json
 
 from repro.adapt.actions import OPPOSITES, target_key
-from repro.adapt.context import param_clamp_max, param_range, scoped
+from repro.adapt.context import param_clamp_max, param_range
 from repro.adapt.rules import parse_rule_document_tolerant
 from repro.lint.diagnostics import Diagnostic
 
@@ -128,8 +128,7 @@ def _constraint_map(predicate):
     if predicate.kind == "threshold":
         interval = _op_interval(predicate.op, predicate.value)
         if interval is not None:
-            key = scoped(predicate.param, predicate.node)
-            constraints[key] = interval
+            constraints[predicate.key] = interval
     elif predicate.kind == "all":
         for child in predicate.children:
             for key, interval in _constraint_map(child).items():
@@ -230,12 +229,11 @@ def _check_clamped_thresholds(rule, location):
                 or (op == "==" and value > ceiling)
             if not dead:
                 continue
-            key = scoped(leaf.param, leaf.node)
             diagnostics.append(Diagnostic(
                 "DRT506", rule.name, location,
                 "condition %r %s %g can never hold: the reported "
                 "value saturates at the histogram grid's last finite "
-                "bound (%g ns)" % (key, op, value, ceiling)))
+                "bound (%g ns)" % (leaf.key, op, value, ceiling)))
     return diagnostics
 
 

@@ -8,14 +8,12 @@ in the kernel.  Two policies are provided:
   priority level, with optional round-robin rotation among equal
   priorities (the paper: "The scheduler used in the test is round-robin
   algorithm", i.e. RTAI's SCHED_RR within a priority level).
-* :class:`ArrayPriorityScheduler` -- the same policy over an array-backed
-  level table (policy name ``"priority-array"``); see below.
 * :class:`EDFScheduler` -- earliest-deadline-first, used by the admission
   policy ablation (experiment A2).
 
 Performance notes (see docs/PERFORMANCE.md)
 -------------------------------------------
-Both fixed-priority schedulers keep an **occupancy bitmap**: bit ``p``
+The fixed-priority scheduler keeps an **occupancy bitmap**: bit ``p``
 is set exactly while priority level ``p`` holds a ready task, so
 :meth:`pick` isolates the lowest set bit (``bitmap & -bitmap``) instead
 of running ``min()`` over the level keys -- the same O(1) trick RTAI's
@@ -25,12 +23,6 @@ one hash probe.  Priorities are expected to be small non-negative
 integers (RTAI convention; descriptor validation keeps them in range) --
 the bitmap is an arbitrary-precision int, so larger values stay correct,
 they just cost proportionally more bits.
-
-:class:`ArrayPriorityScheduler` additionally replaces the priority→deque
-dict with a flat list indexed by priority (grown on demand), trading the
-hash probe per add/remove for a list index.  It is selected with
-``KernelConfig(scheduler_policy="priority-array")`` and is behaviourally
-identical to ``"priority"`` -- every trace is bit-equal.
 """
 
 import heapq
@@ -156,73 +148,6 @@ class PriorityScheduler(Scheduler):
         return bool(queue)
 
 
-class ArrayPriorityScheduler(PriorityScheduler):
-    """Array-backed fixed-priority scheduler (policy ``priority-array``).
-
-    Identical semantics to :class:`PriorityScheduler`; the level table is
-    a flat list indexed by priority instead of a dict, grown on demand.
-    Chosen with ``KernelConfig(scheduler_policy="priority-array")``.
-    """
-
-    policy = "priority-array"
-
-    def __init__(self, rr_quantum_ns=None):
-        super().__init__(rr_quantum_ns=rr_quantum_ns)
-        self._levels = []
-
-    def _level(self, priority):
-        levels = self._levels
-        if priority >= len(levels):
-            levels.extend([None] * (priority + 1 - len(levels)))
-        return levels[priority]
-
-    def add(self, task):
-        if task in self._ready:
-            raise SchedulerError("task %s already ready" % task.name)
-        priority = task.priority
-        queue = self._level(priority)
-        if queue is None:
-            queue = self._levels[priority] = deque()
-        if not queue:
-            self._bitmap |= 1 << priority
-        queue.append(task)
-        self._ready.add(task)
-        self._enqueues.inc()
-
-    def remove(self, task):
-        if task not in self._ready:
-            raise SchedulerError("task %s not in ready set" % task.name)
-        priority = task.priority
-        queue = self._levels[priority]
-        if queue[0] is task:
-            queue.popleft()
-        else:
-            queue.remove(task)
-        if not queue:
-            self._bitmap &= ~(1 << priority)
-        self._ready.discard(task)
-        self._dequeues.inc()
-
-    def pick(self):
-        bitmap = self._bitmap
-        if not bitmap:
-            return None
-        return self._levels[(bitmap & -bitmap).bit_length() - 1][0]
-
-    def rotate(self, task):
-        priority = task.priority
-        queue = self._levels[priority] if priority < len(self._levels) \
-            else None
-        if queue and queue[0] is task:
-            queue.rotate(-1)
-
-    def peers_ready(self, task):
-        priority = task.priority
-        if priority >= len(self._levels):
-            return False
-        return bool(self._levels[priority])
-
-
 class EDFScheduler(Scheduler):
     """Earliest-deadline-first scheduler.
 
@@ -291,13 +216,11 @@ class EDFScheduler(Scheduler):
 def make_scheduler(policy, rr_quantum_ns=None):
     """Factory used by kernel configuration.
 
-    ``policy`` is ``"priority"``, ``"priority-array"`` or ``"edf"``;
-    ``rr_quantum_ns`` only applies to the fixed-priority policies.
+    ``policy`` is ``"priority"`` or ``"edf"``; ``rr_quantum_ns`` only
+    applies to the fixed-priority policy.
     """
     if policy == "priority":
         return PriorityScheduler(rr_quantum_ns=rr_quantum_ns)
-    if policy == "priority-array":
-        return ArrayPriorityScheduler(rr_quantum_ns=rr_quantum_ns)
     if policy == "edf":
         return EDFScheduler()
     raise ValueError("unknown scheduling policy: %r" % (policy,))

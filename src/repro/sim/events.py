@@ -9,12 +9,11 @@ Performance notes (see docs/PERFORMANCE.md)
 -------------------------------------------
 The heap stores ``(when, priority, seq, event)`` **tuples**, not the
 :class:`Event` objects themselves.  Tuple comparison is a single C-level
-operation, whereas comparing ``Event`` objects calls ``__lt__`` (and a
-key-building helper) in Python for every sift step -- which profiling
-showed was the single largest cost of the whole simulator (~1.7 million
-``_sort_key`` calls for a 90k-event run).  ``seq`` is unique, so the
+operation, whereas comparing ``Event`` objects would call a Python
+``__lt__`` for every sift step -- which profiling showed was the single
+largest cost of the whole simulator.  ``seq`` is unique, so the
 comparison never reaches the trailing event object, and the event class
-needs no ordering methods at all on the hot path.  The tuple layout is
+needs no ordering methods at all.  The tuple layout is
 part of the internal contract with :meth:`repro.sim.engine.Simulator.run`,
 which drains the heap in place instead of paying ``peek``/``pop`` method
 pairs per event.
@@ -96,15 +95,6 @@ class Event:
         if self._queue is not None:
             self._queue._live -= 1
 
-    def _sort_key(self):
-        return (self.when, self.priority, self.seq)
-
-    def __lt__(self, other):
-        # Not used by the queue (the heap compares tuples); kept so
-        # explicitly sorting Event collections in tests keeps working.
-        return (self.when, self.priority, self.seq) < \
-            (other.when, other.priority, other.seq)
-
     def __repr__(self):
         state = ("cancelled" if self._cancelled
                  else "fired" if self._fired else "pending")
@@ -147,28 +137,6 @@ class EventQueue:
         heappush(self._heap, (when, priority, seq, event))
         self._live += 1
         return event
-
-    def push_batch(self, entries):
-        """Enqueue many ``(when, callback, args, priority, label)`` rows.
-
-        Returns the created events in input order.  Batching amortizes the
-        attribute lookups of :meth:`push`; bulk schedule paths (fleet
-        construction, fault plans) use it to keep per-event setup cost off
-        the measured window.
-        """
-        heap = self._heap
-        seq = self._seq
-        events = []
-        append = events.append
-        for when, callback, args, priority, label in entries:
-            event = Event(when, priority, seq, callback, args, label,
-                          queue=self)
-            heappush(heap, (when, priority, seq, event))
-            seq += 1
-            append(event)
-        self._seq = seq
-        self._live += len(events)
-        return events
 
     def pop(self):
         """Remove and return the earliest live event.

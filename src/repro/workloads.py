@@ -572,8 +572,8 @@ def generate_rule_set(kind, name=None, threshold=None, priority=10,
 
     The emitted document validates against the schema in
     :mod:`repro.adapt.rules` (docs/ADAPTATION.md has the reference)
-    and is what the C5 scenario, ``examples/adaptive_rules.py`` and
-    the CI ``adapt-smoke`` job feed the controller:
+    and is what the C5 scenario and the E1 ``spike`` workload feed
+    the controller:
 
     * ``latency-guard`` -- shed the least-important component(s) while
       the windowed ``dispatch_latency_p99`` exceeds ``threshold`` ns
@@ -585,10 +585,12 @@ def generate_rule_set(kind, name=None, threshold=None, priority=10,
       node) while that node's miss rate exceeds ``threshold``
       (default 0.05).
 
-    ``json.dump`` the result to get a rule *file*; pass it to
-    :func:`repro.adapt.rules.parse_rule_document` to get runnable
-    rules.  Seedless on purpose: rule emission is a template
-    instantiation, not a random draw.
+    A scoped policy is one rule per scope: call with ``node=`` once
+    per node, as a per-component policy is one ``"component"``-scoped
+    rule per named component.  ``json.dump`` the result to get a rule
+    *file*; pass it to :func:`repro.adapt.rules.parse_rule_document`
+    to get runnable rules.  Seedless on purpose: rule emission is a
+    template instantiation, not a random draw.
     """
     if kind not in RULE_SET_KINDS:
         raise ValueError("unknown rule-set kind %r (known: %s)"

@@ -23,6 +23,7 @@ def test_catalog_shape():
         assert lo is None or isinstance(lo, float)
         assert hi is None or isinstance(hi, float) or hi is None
         assert isinstance(entry["node_scoped"], bool)
+        assert isinstance(entry["component_scoped"], bool)
     assert "deadline_miss_rate" in CONTEXT_PARAMS
     assert CONTEXT_PARAMS["deadline_miss_rate"]["range"] == (0.0, 1.0)
 
@@ -31,6 +32,8 @@ def test_scoped_and_param_range():
     assert scoped("deadline_miss_rate") == "deadline_miss_rate"
     assert scoped("deadline_miss_rate", "n0") == "deadline_miss_rate@n0"
     assert param_range("deadline_miss_rate@n0") == (0.0, 1.0)
+    assert scoped("budget_ratio", component="C") == "budget_ratio#C"
+    assert param_range("budget_ratio#C") == (0.0, None)
     assert param_range("not_in_catalog") == (None, None)
 
 

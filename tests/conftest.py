@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.adapt.rules import parse_rule_document
 from repro.core.policies import UtilizationBoundPolicy
+from repro.hybrid import RTImplementation, make_container_factory
+from repro.hybrid.implementation import ImplementationRegistry
 from repro.platform import build_platform
 from repro.rtos.kernel import KernelConfig, RTKernel
 from repro.rtos.latency import NullLatencyModel
@@ -74,6 +77,41 @@ def make_descriptor_xml(name, *, task_type="periodic", enabled=True,
                      % (pname, ptype, value))
     lines.append("</drt:component>")
     return "\n".join(lines)
+
+
+def suspend_rules(param, threshold, names):
+    """One rule per named component: ``<param>#<name>`` above
+    ``threshold`` suspends that component (read from a
+    ``ComponentContextProvider``)."""
+    return parse_rule_document({"rules": [
+        {"name": "%s-%s" % (param, name),
+         "when": {"param": param, "component": name, "op": ">",
+                  "value": threshold},
+         "then": {"action": "suspend", "component": name}}
+        for name in names]})
+
+
+class Liar(RTImplementation):
+    """Declares little, burns much: each job consumes three times the
+    contract's derived WCET."""
+
+    def compute_ns(self, ctx):
+        return 3 * ctx.contract.wcet_ns
+
+
+def liar_platform():
+    """A zero-jitter platform running ``LIAR00`` (cpuusage 0.1, a
+    :class:`Liar`, so it really uses 0.3)."""
+    registry = ImplementationRegistry()
+    registry.register("liar.Impl", Liar)
+    platform = build_platform(
+        seed=3,
+        kernel_config=KernelConfig(latency_model=NullLatencyModel()),
+        container_factory=make_container_factory(registry))
+    platform.start_timer(1 * MSEC)
+    deploy(platform, make_descriptor_xml(
+        "LIAR00", cpuusage=0.1, bincode="liar.Impl"))
+    return platform
 
 
 def deploy(platform, xml, bundle_name=None):

@@ -1,102 +1,70 @@
 """Tests for run-time budget enforcement (the §2.1 "enforced by a
-central scheme" loop closed at run time)."""
+central scheme" loop closed at run time): a ``budget_ratio`` rule per
+component, read from the management status by a
+``ComponentContextProvider`` (provider details in
+tests/adapt/test_component_context.py)."""
 
 import pytest
 
-from repro.core import AdaptationManager, ComponentState
-from repro.core.adaptation import BudgetOveruseRule
-from repro.hybrid import RTImplementation, make_container_factory
-from repro.hybrid.implementation import ImplementationRegistry
-from repro.platform import build_platform
-from repro.rtos.kernel import KernelConfig
-from repro.rtos.latency import NullLatencyModel
+from repro.adapt import AdaptationController, ComponentContextProvider
+from repro.core import ComponentState
 from repro.sim.engine import MSEC, SEC
 
-from conftest import deploy, make_descriptor_xml
+from conftest import (
+    deploy,
+    liar_platform,
+    make_descriptor_xml,
+    suspend_rules,
+)
 
 
-class Liar(RTImplementation):
-    """Declares little, burns much: each job consumes three times the
-    contract's derived WCET."""
-
-    def compute_ns(self, ctx):
-        return 3 * ctx.contract.wcet_ns
-
-
-def liar_platform():
-    registry = ImplementationRegistry()
-    registry.register("liar.Impl", Liar)
-    platform = build_platform(
-        seed=3,
-        kernel_config=KernelConfig(latency_model=NullLatencyModel()),
-        container_factory=make_container_factory(registry))
-    platform.start_timer(1 * MSEC)
-    return platform
+def budget_controller(platform, names):
+    """Suspend any named component using over 1.25x its declared
+    cpuusage."""
+    return AdaptationController(
+        platform, epoch_ns=100 * MSEC,
+        rules=suspend_rules("budget_ratio", 1.25, names),
+        providers=[ComponentContextProvider(platform.framework)])
 
 
 class TestBudgetEnforcement:
     def test_honest_component_untouched(self, platform):
         deploy(platform, make_descriptor_xml("GOOD00", cpuusage=0.1))
-        manager = AdaptationManager(platform.framework,
-                                    rules=[BudgetOveruseRule()])
+        controller = budget_controller(platform, ["GOOD00"])
         platform.run_for(500 * MSEC)
-        assert manager.poll() == []
+        assert controller.step() == []
         assert platform.drcr.component_state("GOOD00") \
             is ComponentState.ACTIVE
-        manager.close()
 
     def test_overusing_component_suspended(self):
         platform = liar_platform()
-        deploy(platform, make_descriptor_xml(
-            "LIAR00", cpuusage=0.1, bincode="liar.Impl"))
-        manager = AdaptationManager(platform.framework,
-                                    rules=[BudgetOveruseRule()])
+        controller = budget_controller(platform, ["LIAR00"])
         platform.run_for(500 * MSEC)
-        actions = manager.poll()
-        assert actions and "measured" in actions[0][1]
+        assert [firing.rule.name for firing in controller.step()] \
+            == ["budget_ratio-LIAR00"]
+        assert controller.history[0]["outcome"] == "suspend LIAR00"
         assert platform.drcr.component_state("LIAR00") \
             is ComponentState.SUSPENDED
-        manager.close()
-
-    def test_tolerance_respected(self):
-        # 3x overuse passes a 400% tolerance.
-        platform = liar_platform()
-        deploy(platform, make_descriptor_xml(
-            "LIAR00", cpuusage=0.1, bincode="liar.Impl"))
-        manager = AdaptationManager(
-            platform.framework, rules=[BudgetOveruseRule(tolerance=4.0)])
-        platform.run_for(500 * MSEC)
-        assert manager.poll() == []
-        manager.close()
-
-    def test_warmup_grace_period(self):
-        # With almost no accumulated CPU time, no verdict yet.
-        platform = liar_platform()
-        deploy(platform, make_descriptor_xml(
-            "LIAR00", cpuusage=0.1, bincode="liar.Impl"))
-        manager = AdaptationManager(
-            platform.framework,
-            rules=[BudgetOveruseRule(min_cpu_time_ns=int(1e12))])
-        platform.run_for(100 * MSEC)
-        assert manager.poll() == []
-        manager.close()
 
     def test_enforcement_inside_simulated_time(self):
-        # The full enforcement loop as a periodic Linux-side activity.
+        # The full enforcement loop as a periodic Linux-side activity:
+        # the liar is caught at the first epoch (it passed the CPU-time
+        # warm-up ~33 ms in), the controller keeps polling afterwards.
         platform = liar_platform()
         deploy(platform, make_descriptor_xml(
-            "LIAR00", cpuusage=0.1, bincode="liar.Impl"))
-        deploy(platform, make_descriptor_xml(
             "GOOD00", cpuusage=0.1, priority=3))
-        manager = AdaptationManager(platform.framework,
-                                    rules=[BudgetOveruseRule()])
-        manager.start_periodic_polling(platform.sim, 100 * MSEC)
+        controller = budget_controller(
+            platform, ["LIAR00", "GOOD00"]).start()
         platform.run_for(1 * SEC)
         assert platform.drcr.component_state("LIAR00") \
             is ComponentState.SUSPENDED
         assert platform.drcr.component_state("GOOD00") \
             is ComponentState.ACTIVE
-        manager.close()
+        assert [entry["at_ns"] for entry in controller.history] \
+            == [100 * MSEC]
+        assert platform.telemetry.registry("adapt").counter(
+            "epochs_total").value == 10
+        controller.stop()
 
     def test_measured_utilization_in_status(self, platform):
         deploy(platform, make_descriptor_xml("GOOD00", cpuusage=0.1))

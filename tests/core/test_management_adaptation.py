@@ -1,23 +1,23 @@
-"""Tests for the management interface (section 2.4) and adaptation
-managers."""
+"""Tests for the management interface (section 2.4) and the
+adaptation managers that drive it -- ``AdaptationController`` rules
+(more in tests/adapt/)."""
 
+from repro.adapt import AdaptationController, ComponentContextProvider
+from repro.adapt.rules import parse_rule_document
 from repro.core import (
     MANAGEMENT_SERVICE_INTERFACE,
-    AdaptationManager,
+    AlwaysAcceptPolicy,
     ComponentState,
-    PropertyTuningRule,
     RTComponentManagement,
-    SuspendOnDeadlineMisses,
-    ImportanceShedding,
 )
 from repro.sim.engine import MSEC
 
-from conftest import deploy, make_descriptor_xml
+from conftest import deploy, make_descriptor_xml, suspend_rules
 
 
-def calc_xml(name="CALC00", cpuusage=0.05, properties=()):
+def calc_xml(name="CALC00", cpuusage=0.05, properties=(), priority=2):
     return make_descriptor_xml(
-        name, cpuusage=cpuusage, frequency=1000, priority=2,
+        name, cpuusage=cpuusage, frequency=1000, priority=priority,
         properties=properties,
         outports=[("LATDAT", "RTAI.SHM", "Integer", 4)])
 
@@ -81,87 +81,76 @@ class TestManagementInterface:
         assert ref.get_property("drcom.name") == "CAMB00"
 
 
+def shedding_controller(platform):
+    """Shed the least important component (largest priority number)
+    while more than one is active."""
+    return AdaptationController(platform, rules=parse_rule_document(
+        {"rules": [{
+            "name": "shed-on-pressure",
+            "when": {"param": "active_components", "op": ">",
+                     "value": 1},
+            "then": {"action": "shed_lowest_priority"}}]}))
+
+
 class TestAdaptationManager:
-    def test_discovers_management_services(self, platform):
-        manager = AdaptationManager(platform.framework)
-        deploy(platform, calc_xml("CAMA00"))
-        deploy(platform, calc_xml("CAMB00"))
-        assert len(manager.services()) == 2
-        manager.close()
+    """The paper's adaptation managers: controller rules that read the
+    management status and act through the management service."""
 
     def test_suspend_on_misses_rule(self, platform):
-        # An overrunning component (cpuusage exhausts its period via a
-        # synthetic implementation that overruns) gets suspended.
-        from repro.core import AlwaysAcceptPolicy
+        # HOG000 is starved by a higher-priority hog and misses; its
+        # deadline_misses rule suspends it through the management
+        # service, the light OK0000 is left alone.
         platform.drcr.set_internal_policy(AlwaysAcceptPolicy())
-        overload_xml = make_descriptor_xml(
-            "HOG000", cpuusage=0.9, frequency=1000, priority=2)
-        ok_xml = calc_xml("OK0000", cpuusage=0.05)
-        deploy(platform, ok_xml)
-        deploy(platform, overload_xml)
-        # Force misses: add a higher-priority hog so HOG000 overruns.
-        hp_xml = make_descriptor_xml("HP0000", cpuusage=0.5,
-                                     frequency=1000, priority=0)
-        deploy(platform, hp_xml)
+        deploy(platform, calc_xml("OK0000", cpuusage=0.05))
+        deploy(platform, make_descriptor_xml(
+            "HOG000", cpuusage=0.9, frequency=1000, priority=2))
+        deploy(platform, make_descriptor_xml(
+            "HP0000", cpuusage=0.5, frequency=1000, priority=0))
         platform.run_for(100 * MSEC)
-        manager = AdaptationManager(
-            platform.framework, rules=[SuspendOnDeadlineMisses(5)])
-        actions = manager.poll()
-        suspended = [a for _, a in actions if "suspended" in a]
-        assert suspended
+        controller = AdaptationController(
+            platform,
+            rules=suspend_rules("deadline_misses", 5,
+                                ("OK0000", "HOG000", "HP0000")),
+            providers=[ComponentContextProvider(platform.framework)])
+        assert [firing.rule.name for firing in controller.step()] \
+            == ["deadline_misses-HOG000"]
         assert platform.drcr.component_state("HOG000") \
             is ComponentState.SUSPENDED
         assert platform.drcr.component_state("OK0000") \
             is ComponentState.ACTIVE
-        manager.close()
-
-    def test_property_tuning_rule(self, platform):
-        deploy(platform, calc_xml(
-            properties=[("rate", "Integer", "100")]))
-        platform.run_for(5 * MSEC)
-        rule = PropertyTuningRule(
-            predicate=lambda status: True,
-            property_name="rate", new_value=50)
-        manager = AdaptationManager(platform.framework, rules=[rule])
-        actions = manager.poll()
-        assert actions
-        platform.run_for(3 * MSEC)
-        assert mgmt_for(platform, "CALC00").get_property("rate") == 50
-        # once=True: second poll does nothing.
-        assert manager.poll() == []
-        manager.close()
 
     def test_importance_shedding_picks_least_important(self, platform):
-        deploy(platform, calc_xml(
-            "VIPC00", properties=[("importance", "Integer", "10")]))
-        deploy(platform, calc_xml(
-            "LOWC00", properties=[("importance", "Integer", "1")]))
+        # Importance is the priority number: lower = more important.
+        deploy(platform, calc_xml("VIPC00", priority=1))
+        deploy(platform, calc_xml("LOWC00", priority=3))
         platform.run_for(5 * MSEC)
-        rule = ImportanceShedding(
-            pressure_predicate=lambda statuses: True)
-        manager = AdaptationManager(platform.framework, rules=[rule])
-        manager.poll()
+        controller = shedding_controller(platform)
+        controller.step()
         assert platform.drcr.component_state("LOWC00") \
-            is ComponentState.SUSPENDED
+            is ComponentState.DISABLED
         assert platform.drcr.component_state("VIPC00") \
             is ComponentState.ACTIVE
-        manager.close()
+        # One component left: the pressure is gone.
+        assert controller.step() == []
 
     def test_no_pressure_no_shedding(self, platform):
         deploy(platform, calc_xml())
-        rule = ImportanceShedding(
-            pressure_predicate=lambda statuses: False)
-        manager = AdaptationManager(platform.framework, rules=[rule])
-        assert manager.poll() == []
+        controller = shedding_controller(platform)
+        assert controller.step() == []
+        assert controller.history == []
         assert platform.drcr.component_state("CALC00") \
             is ComponentState.ACTIVE
-        manager.close()
 
     def test_actions_logged(self, platform):
-        deploy(platform, calc_xml())
-        rule = ImportanceShedding(
-            pressure_predicate=lambda statuses: True)
-        manager = AdaptationManager(platform.framework, rules=[rule])
-        manager.poll()
-        assert manager.log
-        manager.close()
+        deploy(platform, calc_xml("CAMA00"))
+        deploy(platform, calc_xml("CAMB00"))
+        platform.run_for(5 * MSEC)
+        controller = shedding_controller(platform)
+        controller.step()
+        assert controller.history == [{
+            "at_ns": platform.now,
+            "rule": "shed-on-pressure",
+            "action": {"action": "shed_lowest_priority"},
+            "outcome": "shed CAMB00",
+        }]
+

@@ -3,12 +3,8 @@ scenarios over simulated time."""
 
 import pytest
 
-from repro.core import (
-    AdaptationManager,
-    ComponentState,
-    SuspendOnDeadlineMisses,
-    UtilizationBoundPolicy,
-)
+from repro.adapt import AdaptationController, ComponentContextProvider
+from repro.core import ComponentState, UtilizationBoundPolicy
 from repro.hybrid import RTImplementation, make_container_factory
 from repro.hybrid.implementation import ImplementationRegistry
 from repro.platform import build_platform
@@ -17,7 +13,7 @@ from repro.rtos.latency import NullLatencyModel
 from repro.rtos.load import apply_stress
 from repro.sim.engine import MSEC, SEC
 
-from conftest import deploy, make_descriptor_xml
+from conftest import deploy, make_descriptor_xml, suspend_rules
 
 
 class TestControlSystemPipeline:
@@ -175,12 +171,12 @@ class TestAdaptationLoop:
             deploy(platform, make_descriptor_xml(
                 name, cpuusage=usage, frequency=1000,
                 priority=priority))
-        manager = AdaptationManager(
-            platform.framework, rules=[SuspendOnDeadlineMisses(10)])
-        # Closed loop: run, poll, repeat.
-        for _ in range(10):
-            platform.run_for(50 * MSEC)
-            manager.poll()
+        controller = AdaptationController(
+            platform, epoch_ns=50 * MSEC,
+            providers=[ComponentContextProvider(platform.framework)],
+            rules=suspend_rules("deadline_misses", 10,
+                                ("HOGA00", "HOGB00"))).start()
+        platform.run_for(500 * MSEC)
         # The lower-priority hog misses and gets suspended; the other
         # then runs clean.
         assert platform.drcr.component_state("HOGB00") \
@@ -189,4 +185,4 @@ class TestAdaptationLoop:
         before = hog_a.stats.deadline_misses
         platform.run_for(200 * MSEC)
         assert hog_a.stats.deadline_misses == before
-        manager.close()
+        controller.stop()

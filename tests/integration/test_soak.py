@@ -2,17 +2,13 @@
 
 One platform runs the full feature surface simultaneously -- a port
 pipeline, a sporadic handler, a FIFO exporter, deployment churn, Linux
-stress, a polling adaptation manager, and a lying component that budget
-enforcement must catch -- and the global invariants must hold at every
-checkpoint and at the end.
+stress, an adaptation controller, and a lying component that a
+``budget_ratio`` rule must catch -- and the global invariants must hold
+at every checkpoint and at the end.
 """
 
-from repro.core import (
-    AdaptationManager,
-    ComponentState,
-    UtilizationBoundPolicy,
-)
-from repro.core.adaptation import BudgetOveruseRule
+from repro.adapt import AdaptationController, ComponentContextProvider
+from repro.core import ComponentState, UtilizationBoundPolicy
 from repro.core.lifecycle import INSTANTIATED_STATES
 from repro.core.snapshot import export_state, restore_state
 from repro.hybrid import RTImplementation, make_container_factory
@@ -23,9 +19,13 @@ from repro.rtos.latency import NullLatencyModel
 from repro.rtos.load import apply_stress
 from repro.sim.engine import MSEC, SEC
 
-from conftest import deploy, make_descriptor_xml
+from conftest import deploy, make_descriptor_xml, suspend_rules
 
 SOAK_SECONDS = 30
+
+#: Every component the soak deploys: the budget rules watch them all.
+COMPONENTS = ("BASE00", "SINK00", "EXPRT0", "EVENT0", "LIAR00",
+              "CHRN00", "CHRN01", "CHRN02", "CHRN03")
 
 
 class Greedy(RTImplementation):
@@ -98,10 +98,10 @@ def test_thirty_second_soak():
     exported = []
     fifo.set_user_handler(exported.extend)
 
-    manager = AdaptationManager(
-        platform.framework,
-        rules=[BudgetOveruseRule(tolerance=0.5)])
-    manager.start_periodic_polling(platform.sim, 250 * MSEC)
+    controller = AdaptationController(
+        platform, epoch_ns=250 * MSEC,
+        providers=[ComponentContextProvider(platform.framework)],
+        rules=suspend_rules("budget_ratio", 1.5, COMPONENTS)).start()
 
     apply_stress(platform.kernel)
 
@@ -130,10 +130,11 @@ def test_thirty_second_soak():
     assert base_task.stats.deadline_misses == 0
     assert sink_task.stats.deadline_misses == 0
 
-    # Budget enforcement caught the liar.
+    # Budget enforcement caught the liar, and only the liar.
     assert platform.drcr.component_state("LIAR00") \
         is ComponentState.SUSPENDED
-    assert any("budget" in rule_name for rule_name, _ in manager.log)
+    assert [entry["rule"] for entry in controller.history] \
+        == ["budget_ratio-LIAR00"]
 
     # The FIFO exporter delivered to user space throughout.
     assert len(exported) > SOAK_SECONDS * 90
@@ -159,4 +160,4 @@ def test_thirty_second_soak():
     assert "BASE00" in report["restored"]
     fresh.run_for(1 * SEC)
     assert fresh.kernel.lookup("BASE00").stats.completions >= 990
-    manager.close()
+    controller.stop()

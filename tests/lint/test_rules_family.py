@@ -98,6 +98,27 @@ def test_disjoint_all_group_is_unreachable():
     assert _codes(diagnostics) == ["DRT504"]
 
 
+def test_component_scoped_leaves_are_analysed_per_component():
+    # Two components' ratios are independent keys; one negative ratio
+    # is unreachable and named by its scoped key.
+    document = {"rules": [{
+        "name": "budget",
+        "when": {"all": [
+            {"param": "budget_ratio", "component": "A", "op": ">",
+             "value": 2},
+            {"param": "budget_ratio", "component": "B", "op": "<",
+             "value": 1},
+            {"param": "budget_ratio", "component": "B", "op": "<",
+             "value": 0},
+        ]},
+        "then": [{"action": "suspend", "component": "A"}],
+        "cooldown_ns": 1,
+    }]}
+    diagnostics = check_rule_source(json.dumps(document), "<x>")
+    assert _codes(diagnostics) == ["DRT504"]
+    assert "'budget_ratio#B'" in diagnostics[0].message
+
+
 def test_exclusive_bands_are_not_contradictory():
     document = {"rules": [
         {"name": "off",
