@@ -36,16 +36,17 @@ Subcommands:
     (see ``docs/ARCHITECTURE.md``, Federation section).
 
 ``python -m repro adapt [--rules RULES.json] [--compare] ...``
-    run the C5 load-spike experiment: declarative adaptation rules
-    shed load when the deadline-miss rate spikes, while the identical
-    static deployment degrades (see ``docs/ADAPTATION.md``).
+    run the C5 load-spike experiment (:mod:`repro.experiments`):
+    declarative adaptation rules shed load when the deadline-miss rate
+    spikes, while the identical static deployment degrades (see
+    ``docs/ADAPTATION.md``).
 
 ``python -m repro contracts [--compare] ...``
-    run the C6 bursty-contract experiment: a stochastic-contract
-    monitor quarantines components whose observed timing rejects
-    their declared distributions, while the identical point-estimate
-    deployment degrades (see ``docs/ARCHITECTURE.md``, Stochastic
-    contracts section).
+    run the C6 bursty-contract experiment (:mod:`repro.experiments`):
+    a stochastic-contract monitor quarantines components whose
+    observed timing rejects their declared distributions, while the
+    identical point-estimate deployment degrades (see
+    ``docs/ARCHITECTURE.md``, Stochastic contracts section).
 """
 
 import argparse
@@ -102,11 +103,6 @@ def _parse_args(argv=None):
     parser.add_argument("--faults", metavar="PLAN", default=None,
                         help="arm a fault plan ('examples' for the "
                              "built-in chaos plan, or a JSON plan file)")
-    parser.add_argument("--full-reconfigure", action="store_true",
-                        help="disable incremental (dirty-set) "
-                             "reconfiguration: every lifecycle event "
-                             "sweeps the full global view, the "
-                             "historical behavior")
     return parser.parse_args(argv)
 
 
@@ -120,17 +116,12 @@ def main(argv=None):
     if argv and argv[0] == "cluster":
         from repro.cluster.cli import main as cluster_main
         return cluster_main(argv[1:])
-    if argv and argv[0] == "adapt":
-        from repro.adapt.cli import main as adapt_main
-        return adapt_main(argv[1:])
-    if argv and argv[0] == "contracts":
-        from repro.monitor.cli import main as contracts_main
-        return contracts_main(argv[1:])
+    if argv and argv[0] in ("adapt", "contracts"):
+        from repro.experiments import main as experiment_main
+        return experiment_main(argv[0], argv[1:])
     args = _parse_args(argv)
     telemetry = Telemetry(enabled=not args.no_telemetry)
     platform = build_platform(seed=2008, telemetry=telemetry)
-    if args.full_reconfigure:
-        platform.drcr.incremental = False
     platform.start_timer(1 * MSEC)
     engine = None
     if args.faults is not None:

@@ -23,7 +23,8 @@ decomposition (SNIPPETS.md):
 Everything is observable as ``adapt.*`` telemetry
 (docs/OBSERVABILITY.md), lintable as DRT5xx (docs/STATIC_ANALYSIS.md),
 and documented in docs/ADAPTATION.md; ``python -m repro adapt`` runs
-the C5 load-spike experiment from EXPERIMENTS.md.
+the C5 load-spike experiment from EXPERIMENTS.md through the shared
+harness in :mod:`repro.experiments`.
 """
 
 from repro.adapt.actions import ACTIONS, target_key, validate_action

@@ -30,12 +30,11 @@ propagating along the registry's port-dependency graph (a departure
 dirties its waiting consumers and the components its freed budget could
 admit; an activation dirties its waiting consumers).  A full sweep of
 the global view stays reachable -- :meth:`DRCR.reconfigure` (used for
-out-of-band context changes such as a lowered degradation cap),
-resolver arrival/departure, and the ``--full-reconfigure`` CLI flag all
-force one -- and ``incremental = False`` restores the historical
-sweep-everything behavior wholesale.  :meth:`DRCR.batch` coalesces
-event storms (bundle deploys, fleet rollouts) into a single
-reconfiguration round.
+out-of-band context changes such as a lowered degradation cap) and
+resolver arrival/departure force one -- and ``incremental = False``
+restores the historical sweep-everything behavior wholesale.
+:meth:`DRCR.batch` coalesces event storms (bundle deploys, fleet
+rollouts) into a single reconfiguration round.
 """
 
 from contextlib import contextmanager
@@ -113,8 +112,8 @@ class DRCR:
         self._token = LifecycleToken(self)
         self._reconfiguring = False
         #: Incremental (dirty-set) reconfiguration.  ``False`` restores
-        #: the historical full-sweep-per-event behavior
-        #: (``--full-reconfigure`` on the CLI).
+        #: the historical full-sweep-per-event behavior (the reference
+        #: side of the incremental tests and of benchmark A3).
         self.incremental = True
         #: Completed reconfiguration rounds (mirrors the
         #: ``drcr.reconfigurations_total`` counter; plain attribute so

@@ -13,8 +13,9 @@ import re
 
 import pytest
 
-from repro.adapt.scenario import (
+from repro.experiments import (
     SPIKE_PRIORITY_OFFSET,
+    LoadSpike,
     default_rules,
     run_comparison,
 )
@@ -27,7 +28,7 @@ FLOOR = 0.02
 @pytest.fixture(scope="module")
 def comparison():
     """Both arms of C5 on identical seeds (run once per module)."""
-    return run_comparison(seconds=2.0)
+    return run_comparison(LoadSpike(), seconds=2.0)
 
 
 def test_static_arm_degrades_after_spike(comparison):
@@ -79,18 +80,23 @@ def test_spike_components_marked_less_important():
 
 def test_no_private_attribute_access_in_adapt_package():
     """Every action must go through public APIs: no ``obj._name``
-    access in repro.adapt except on ``self``/``cls``."""
-    package = os.path.join(os.path.dirname(__file__), os.pardir,
-                           os.pardir, "src", "repro", "adapt")
+    access in repro.adapt, repro.monitor or the experiment harness
+    except on ``self``/``cls``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir,
+                       os.pardir, "src", "repro")
+    paths = [os.path.join(src, "experiments.py")] + [
+        os.path.join(src, package, name)
+        for package in ("adapt", "monitor")
+        for name in sorted(os.listdir(os.path.join(src, package)))
+        if name.endswith(".py")]
     pattern = re.compile(r"(\w+)\._")
     offenders = []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as f:
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 for owner in pattern.findall(line):
                     if owner not in ("self", "cls"):
                         offenders.append("%s:%d: %s._"
-                                         % (name, lineno, owner))
+                                         % (os.path.relpath(path, src),
+                                            lineno, owner))
     assert not offenders, offenders

@@ -10,7 +10,7 @@ window and returns the fleet's tail miss rate to (essentially) zero.
 
 import pytest
 
-from repro.monitor.scenario import run_comparison
+from repro.experiments import BurstyContracts, run_comparison
 from repro.workloads import generate_bursty_fleet
 
 #: Miss-rate floor: ratios against a zero baseline are meaningless.
@@ -20,7 +20,7 @@ FLOOR = 0.005
 @pytest.fixture(scope="module")
 def comparison():
     """Both arms of C6 on identical seeds (run once per module)."""
-    return run_comparison(seconds=2.0)
+    return run_comparison(BurstyContracts(), seconds=2.0)
 
 
 def test_both_arms_admit_and_run_clean_before_onset(comparison):
