@@ -8,15 +8,23 @@ ladders the rule population 10..500 (override with
 
 * the evaluator-only cost per epoch (predicates + damping + conflict
   resolution over a synthetic context),
+* the evaluator-only cost per epoch over a *silent* population: N
+  single-threshold guards that never hold, the shape of the 200
+  silent guards in E1 ``spike`` (best of 3 timed runs),
 * the full ``AdaptationController.step()`` cost on a live platform
   (context collection from real telemetry + OSGi provider query
   included),
 
 and asserts the *shape*: evaluation stays roughly linear in the rule
-count (growth across the ladder well below quadratic) and a live epoch
-with the largest rule set stays under 50 ms of wall clock -- an epoch
-that costs more than it simulates could never run in real time.  Rows
-land in ``BENCH_scaling_adapt.json``.
+count (growth across the ladder well below quadratic), a silent
+population costs far less than linear (the evaluator's threshold
+index answers a quiet epoch with one bisect per ``(key, op)`` bucket,
+so ``silent_growth`` must stay below a third of the rule growth), and
+a live epoch with the largest rule set stays under 50 ms of wall
+clock -- an epoch that costs more than it simulates could never run
+in real time.  Both growth ratios compare two rows timed in one
+process, so they do not depend on the machine.  Rows land in
+``BENCH_scaling_adapt.json``.
 """
 
 import json
@@ -35,6 +43,9 @@ from conftest import quiet_platform, run_once
 
 DEFAULT_RULE_COUNTS = (10, 50, 200, 500)
 EPOCHS = 200
+SILENT_REPEATS = 3
+PARAMS = ("deadline_miss_rate", "releases", "overruns",
+          "dispatch_latency_p99", "rt_utilization", "active_components")
 RESULT_PATH = Path(__file__).resolve().parent.parent \
     / "BENCH_scaling_adapt.json"
 
@@ -49,12 +60,9 @@ def rule_counts():
 def make_rules(count):
     """``count`` distinct guards over the whole parameter alphabet:
     a third never fire, a third sit in cooldown, a third conflict."""
-    params = ("deadline_miss_rate", "releases", "overruns",
-              "dispatch_latency_p99", "rt_utilization",
-              "active_components")
     rules = []
     for index in range(count):
-        param = params[index % len(params)]
+        param = PARAMS[index % len(PARAMS)]
         fires = index % 3 == 0
         rules.append({
             "name": "guard-%04d" % index,
@@ -67,6 +75,18 @@ def make_rules(count):
             "cooldown_ns": 10 * MSEC,
         })
     return parse_rule_document({"rules": rules})
+
+
+def make_silent_rules(count):
+    """``count`` guards whose single threshold leaf never holds (each
+    parameter's catalog range is non-negative), as in E1 ``spike``."""
+    return parse_rule_document({"rules": [
+        {"name": "silent-%04d" % index, "priority": index,
+         "when": {"param": PARAMS[index % len(PARAMS)], "op": "<",
+                  "value": -1.0, "for_epochs": 1 + index % 3},
+         "then": [{"action": "reconfigure"}],
+         "cooldown_ns": 10 * MSEC}
+        for index in range(count)]})
 
 
 def synthetic_context():
@@ -97,6 +117,26 @@ def measure_evaluator(count):
     }
 
 
+def measure_silent(count):
+    """Evaluator cost per epoch (us) over ``count`` silent guards, best
+    of :data:`SILENT_REPEATS` timed runs after one warm-up epoch."""
+    rules = make_silent_rules(count)
+    evaluator = RuleEvaluator(max_actions_per_epoch=8)
+    context = synthetic_context()
+    evaluator.evaluate(rules, dict(context), 0)
+    best = None
+    for repeat in range(SILENT_REPEATS):
+        start = time.perf_counter()
+        for epoch in range(EPOCHS):
+            firings, _ = evaluator.evaluate(
+                rules, dict(context), (repeat * EPOCHS + epoch + 1)
+                * 50 * MSEC)
+            assert not firings
+        elapsed = (time.perf_counter() - start) / EPOCHS
+        best = elapsed if best is None else min(best, elapsed)
+    return best * 1e6
+
+
 def measure_live_step(count):
     """Full controller epoch on a live platform (real telemetry
     context, OSGi provider query, firing execution)."""
@@ -119,17 +159,20 @@ def test_adapt_scaling(benchmark):
 
     def experiment():
         rows = [measure_evaluator(count) for count in counts]
+        for row in rows:
+            row["silent_epoch_us"] = measure_silent(row["rules"])
         live_ms = measure_live_step(counts[-1])
         return rows, live_ms
 
     rows, live_ms = run_once(benchmark, experiment)
     print("\nC5b -- adaptation-rule evaluation scaling:")
-    print("%6s %8s %14s %14s"
-          % ("rules", "fired", "epoch[us]", "per-rule[ns]"))
+    print("%6s %8s %14s %14s %14s"
+          % ("rules", "fired", "epoch[us]", "per-rule[ns]",
+             "silent[us]"))
     for row in rows:
-        print("%6d %8d %14.1f %14.1f"
+        print("%6d %8d %14.1f %14.1f %14.1f"
               % (row["rules"], row["fired"], row["eval_epoch_us"],
-                 row["eval_rule_ns"]))
+                 row["eval_rule_ns"], row["silent_epoch_us"]))
     print("live controller step at %d rules: %.2f ms"
           % (counts[-1], live_ms))
 
@@ -137,8 +180,10 @@ def test_adapt_scaling(benchmark):
     rule_growth = large["rules"] / small["rules"]
     cost_growth = large["eval_epoch_us"] / max(small["eval_epoch_us"],
                                                1e-6)
-    print("cost growth %.2fx over a %.0fx rule growth"
-          % (cost_growth, rule_growth))
+    silent_growth = large["silent_epoch_us"] \
+        / max(small["silent_epoch_us"], 1e-6)
+    print("cost growth %.2fx, silent growth %.2fx over a %.0fx rule "
+          "growth" % (cost_growth, silent_growth, rule_growth))
 
     document = {
         "benchmark": "scaling_adapt",
@@ -148,6 +193,7 @@ def test_adapt_scaling(benchmark):
         "live_step_ms_at_max": live_ms,
         "rule_growth": rule_growth,
         "cost_growth": cost_growth,
+        "silent_growth": silent_growth,
     }
     RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
     benchmark.extra_info["rows"] = rows
@@ -156,5 +202,7 @@ def test_adapt_scaling(benchmark):
     assert all(row["fired"] > 0 for row in rows)
     # Roughly linear: far below quadratic growth across the ladder.
     assert cost_growth < rule_growth * 3
+    # A quiet epoch is one bisect per bucket, not one walk per rule.
+    assert silent_growth < rule_growth / 3
     # An epoch must cost (much) less wall clock than it simulates.
     assert live_ms < 50.0

@@ -8,8 +8,12 @@ One :class:`AdaptationController` owns the epoch cadence.  Every
    under :data:`~repro.adapt.rules.CONTEXT_PROVIDER_INTERFACE`),
 2. collects the rule set the same way (local providers plus OSGi
    :data:`~repro.adapt.rules.RULE_PROVIDER_INTERFACE` services -- the
-   per-epoch registry query is what makes hot add/remove work),
-3. lets the :class:`~repro.adapt.evaluator.RuleEvaluator` decide, and
+   per-epoch registry query is what makes hot add/remove work; the
+   providers' rules are merged again only when that provider list
+   differs from the previous epoch's, so a provider's ``rules()`` is
+   read when it joins),
+3. lets the :class:`~repro.adapt.evaluator.RuleEvaluator` decide (it
+   compiles a rule set once, when the merged list changes), and
 4. executes the surviving firings.
 
 Execution is deliberately unprivileged: every action goes through the
@@ -135,6 +139,9 @@ class AdaptationController:
                 ClusterContextProvider(cluster))
         self._context_providers.extend(providers)
         self._rule_providers = []
+        #: The rule providers of the last merge, and its result.
+        self._merged_from = None
+        self._merged = []
         if rules:
             self.add_rules(rules)
         #: Recent executed/failed actions, newest last (bounded).
@@ -149,7 +156,8 @@ class AdaptationController:
         self._context_providers.append(provider)
 
     def add_rule_provider(self, provider):
-        """Add a local rule provider (queried every epoch)."""
+        """Add a local rule provider (its rules are read when it joins;
+        re-register to change rules)."""
         self._rule_providers.append(provider)
 
     def add_rules(self, rules, name="inline"):
@@ -175,18 +183,26 @@ class AdaptationController:
 
     def current_rules(self):
         """This epoch's rule set: local providers first, then every
-        OSGi-registered provider; first occurrence of a name wins."""
-        rules = []
-        seen = set()
+        OSGi-registered provider; first occurrence of a name wins.
+
+        The merge is rebuilt only when the provider list differs from
+        the previous call's; until then the same list object is
+        returned (treat it as read-only).
+        """
         providers = list(self._rule_providers)
         providers.extend(
             self._registered_services(RULE_PROVIDER_INTERFACE))
-        for provider in providers:
-            for rule in provider.rules():
-                if rule.name not in seen:
-                    seen.add(rule.name)
-                    rules.append(rule)
-        return rules
+        if providers != self._merged_from:
+            rules = []
+            seen = set()
+            for provider in providers:
+                for rule in provider.rules():
+                    if rule.name not in seen:
+                        seen.add(rule.name)
+                        rules.append(rule)
+            self._merged_from = providers
+            self._merged = rules
+        return self._merged
 
     def collect_context(self):
         """This epoch's merged context (later providers win clashes)."""

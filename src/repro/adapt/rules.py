@@ -20,9 +20,12 @@ A rule file is one JSON document::
 ``when`` is a predicate tree: a *threshold* leaf (``param``/``op``/
 ``value``, optional ``node`` or ``component`` scope and ``for_epochs``
 arming hysteresis), a *trend* leaf (``param``/``trend``: ``rising`` or
-``falling`` over ``epochs`` consecutive observations), or an ``all``/
-``any`` group of sub-predicates.  ``clear`` (optional) latches the rule
-after a firing until the clear condition holds -- release hysteresis.
+``falling`` over ``epochs`` consecutive observations, at most
+:data:`HISTORY_EPOCHS`), or an ``all``/``any`` group of
+sub-predicates.  A threshold ``value`` may be infinite but not NaN:
+``> NaN`` could never hold and ``!= NaN`` would hold every epoch.
+``clear`` (optional) latches the rule after a firing until the clear
+condition holds -- release hysteresis.
 ``then`` is one action or a list; the catalog lives in
 :mod:`repro.adapt.actions`.  Lower ``priority`` numbers win conflicts,
 matching task priorities everywhere else in this repository.
@@ -41,7 +44,13 @@ the OSGi service registry under :data:`RULE_PROVIDER_INTERFACE` with a
 ``rules()`` method contributes its rules from the next epoch on, and
 stops contributing the moment it is unregistered -- hot add/remove
 needs no controller cooperation beyond the per-epoch registry query.
+The controller reads ``rules()`` when a provider joins, so a provider
+changes its rules by re-registering (hot reload is unregister, then
+register the re-parsed provider).
 """
+
+import math
+import operator
 
 from repro.adapt.actions import validate_action
 from repro.adapt.context import CONTEXT_PARAMS, scoped
@@ -56,15 +65,21 @@ CONTEXT_PROVIDER_INTERFACE = "drcom.adapt.ContextProvider"
 #: Schema version accepted by :func:`parse_rule_document`.
 RULE_SCHEMA_VERSION = 1
 
-#: Comparison operators a threshold predicate may use.
+#: Comparison operators a threshold predicate may use: the schema
+#: accepts exactly these keys and the evaluator compiles leaves to
+#: these functions (``context value <op> bound``).
 OPS = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
+
+#: Epochs of context history the evaluator keeps for trend
+#: predicates, and so the longest trend a rule may ask for.
+HISTORY_EPOCHS = 32
 
 #: Directions a trend predicate may use.
 TRENDS = ("rising", "falling")
@@ -257,9 +272,10 @@ def _parse_predicate(data, where, problems, default_param=None):
             return None
         epochs = data.get("epochs", 2)
         if not isinstance(epochs, int) or isinstance(epochs, bool) \
-                or epochs < 2:
-            problems.append("%s: 'epochs' must be an integer >= 2"
-                            % where)
+                or not 2 <= epochs <= HISTORY_EPOCHS:
+            problems.append("%s: 'epochs' must be an integer in 2..%d "
+                            "(the evaluator keeps %d epochs of history)"
+                            % (where, HISTORY_EPOCHS, HISTORY_EPOCHS))
             epochs = 2
         return Predicate("trend", param=param, node=node,
                          component=component, trend=trend,
@@ -273,6 +289,10 @@ def _parse_predicate(data, where, problems, default_param=None):
     if not _is_number(value):
         problems.append("%s: 'value' must be a number, got %r"
                         % (where, value))
+        return None
+    if isinstance(value, float) and math.isnan(value):
+        problems.append("%s: 'value' must not be NaN ('> NaN' never "
+                        "holds, '!= NaN' always does)" % where)
         return None
     return Predicate("threshold", param=param, node=node,
                      component=component, op=op, value=value,
@@ -415,7 +435,8 @@ class RuleProvider:
         self.name = name
 
     def rules(self):
-        """The provider's current rules (re-queried every epoch)."""
+        """The provider's rules: read when the provider joins a
+        controller; re-register to change rules."""
         raise NotImplementedError
 
     def register(self, framework, properties=None):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.adapt.rules import (
+    HISTORY_EPOCHS,
     JsonRuleProvider,
     RuleSchemaError,
     StaticRuleProvider,
@@ -107,6 +108,43 @@ def test_trend_predicate_shape():
             when={"param": "dispatch_latency_p95", "trend": "rising",
                   "op": ">", "value": 1},
             clear=None))
+
+
+def test_trend_window_is_bounded_by_the_history():
+    """The evaluator keeps HISTORY_EPOCHS epochs of context, so a
+    longer trend could never hold."""
+    longest = parse_rule_document(_doc(
+        when={"param": "dispatch_latency_p95", "trend": "rising",
+              "epochs": HISTORY_EPOCHS},
+        clear=None))
+    assert longest[0].when.epochs == HISTORY_EPOCHS
+    for epochs in (1, HISTORY_EPOCHS + 1, 40):
+        with pytest.raises(RuleSchemaError, match="'epochs'"):
+            parse_rule_document(_doc(
+                when={"param": "dispatch_latency_p95",
+                      "trend": "rising", "epochs": epochs},
+                clear=None))
+
+
+def test_nan_value_rejected_infinite_kept():
+    # json reads NaN: "> NaN" would never fire, "!= NaN" every epoch
+    nan = float("nan")
+    with pytest.raises(RuleSchemaError, match="NaN"):
+        parse_rule_document(_doc(
+            when={"param": "deadline_miss_rate", "op": "!=",
+                  "value": nan}))
+    with pytest.raises(RuleSchemaError, match="NaN"):
+        parse_rule_document(_doc(clear={"op": "<=", "value": nan}))
+    with pytest.raises(RuleSchemaError, match="NaN"):
+        parse_rule_document(json.loads(json.dumps(_doc(
+            when={"param": "deadline_miss_rate", "op": ">",
+                  "value": nan}))))
+    rules = parse_rule_document(_doc(
+        when={"param": "deadline_miss_rate", "op": "<",
+              "value": float("inf")},
+        clear={"op": ">", "value": float("-inf")}))
+    assert rules[0].when.value == float("inf")
+    assert rules[0].clear.value == float("-inf")
 
 
 def test_json_rule_provider_from_dict_text_and_file(tmp_path):

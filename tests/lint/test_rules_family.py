@@ -57,6 +57,46 @@ def test_invalid_json_is_drt500():
     assert _codes(diagnostics) == ["DRT500"]
 
 
+class TestUnsatisfiableRules:
+    """DRT500: rules the schema admitted at HEAD but the evaluator can
+    never run as written."""
+
+    def _text(self, when, clear=None):
+        rule = {"name": "never", "when": when,
+                "then": [{"action": "reconfigure"}], "cooldown_ns": 1}
+        if clear is not None:
+            rule["clear"] = clear
+        return json.dumps({"rules": [rule]})
+
+    def test_trend_longer_than_the_history_is_drt500(self):
+        diagnostics = check_rule_source(self._text(
+            {"param": "deadline_miss_rate", "trend": "rising",
+             "epochs": 40}), "<x>")
+        assert _codes(diagnostics) == ["DRT500"]
+        assert "'epochs'" in diagnostics[0].message
+
+    def test_nan_threshold_is_drt500(self):
+        for op in (">", "!="):
+            text = self._text({"param": "deadline_miss_rate", "op": op,
+                               "value": float("nan")})
+            assert "NaN" in text  # what json.dumps writes and reads
+            diagnostics = check_rule_source(text, "<x>")
+            assert _codes(diagnostics) == ["DRT500"], op
+
+    def test_nan_clear_is_drt500(self):
+        diagnostics = check_rule_source(self._text(
+            {"param": "deadline_miss_rate", "op": ">", "value": 0.5},
+            clear={"op": "<", "value": float("nan")}), "<x>")
+        assert _codes(diagnostics) == ["DRT500"]
+
+    def test_longest_trend_and_infinite_bounds_stay_clean(self):
+        for when in ({"param": "deadline_miss_rate", "trend": "rising",
+                      "epochs": 32},
+                     {"param": "overruns", "op": "<",
+                      "value": float("inf")}):
+            assert check_rule_source(self._text(when), "<x>") == [], when
+
+
 def test_schema_and_semantic_codes_coexist():
     """One malformed rule must not mask findings about valid ones."""
     document = {"rules": [
