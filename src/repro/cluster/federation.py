@@ -45,6 +45,7 @@ through the public :meth:`~repro.core.drcr.DRCR.define_application`.
 """
 
 import itertools
+from operator import itemgetter
 
 from repro.cluster.membership import MembershipService
 from repro.cluster.node import ClusterNode
@@ -52,6 +53,7 @@ from repro.cluster.placement import ClusterPlacementService
 from repro.cluster.transport import MessageTransport
 from repro.core.descriptor import ComponentDescriptor
 from repro.core.lifecycle import ComponentState
+from repro.core.placement import co_location_groups
 from repro.core.snapshot import restore_entries
 from repro.faults.recovery import BackoffPolicy
 from repro.lint.diagnostics import Severity
@@ -77,36 +79,6 @@ _PLACED_OUTCOMES = frozenset(
 
 class ClusterError(Exception):
     """A cluster-level operation could not be carried out."""
-
-
-def _group_entries(entries, applications):
-    """Partition entries into co-location groups.
-
-    Members of one application (transitively, when applications
-    overlap) form one group -- their wiring only resolves on a single
-    node.  Everything else is a singleton group."""
-    group_of = {}  # component name -> group id
-    merged = {}    # group id -> set of names
-    next_id = itertools.count()
-    for members in applications.values():
-        ids = {group_of[m] for m in members if m in group_of}
-        target = min(ids) if ids else next(next_id)
-        names = merged.setdefault(target, set())
-        for gid in ids:
-            if gid != target:
-                names |= merged.pop(gid)
-        names.update(members)
-        for name in names:
-            group_of[name] = target
-    groups = {}
-    singles = []
-    for entry in entries:
-        gid = group_of.get(entry["name"])
-        if gid is None:
-            singles.append([entry])
-        else:
-            groups.setdefault(gid, []).append(entry)
-    return list(groups.values()) + singles
 
 
 class PlanGuard:
@@ -247,7 +219,6 @@ class Cluster:
                  internal_policy_factory=None, container_factory=None,
                  link=None, heartbeat_interval_ns=10 * MSEC,
                  miss_limit=3, probe_fanout=2, indirect_fanout=2,
-                 placement_cap=1.0,
                  timer_period_ns=MSEC, migration_timeout_ns=5 * MSEC,
                  backoff=None, telemetry=None,
                  per_link_histograms=None):
@@ -277,8 +248,7 @@ class Cluster:
             indirect_fanout=indirect_fanout)
         for node in self.nodes.values():
             node.membership = self.membership
-        self.placement = ClusterPlacementService(self,
-                                                 cap=placement_cap)
+        self.placement = ClusterPlacementService(self)
         self.plan_guard = None  # armed via install_plan_guard()
         self.transport.register(self.coordinator_name,
                                 self._on_message)
@@ -814,7 +784,9 @@ class Cluster:
                    if not self._component_lives_somewhere(
                        entry["name"])]
         moved = self._place_groups(
-            _group_entries(orphans, applications), exclude={name},
+            co_location_groups(orphans, applications,
+                               itemgetter("name")),
+            exclude={name},
             reason="failover")
         unplaced = sorted(set(entry["name"] for entry in orphans)
                           - set(moved))

@@ -1,24 +1,22 @@
 """Cluster-level placement: from "which CPU" to "(node, CPU)".
 
-:mod:`repro.core.placement` answers *which CPU* on one node; the
-federation needs the outer question first: *which node*.  The
-:class:`ClusterPlacementService` extends the same best-fit shape to
-two dimensions -- it scans every (node, CPU) slot across the
-membership, using each node's
-:meth:`~repro.core.registry.ComponentRegistry.declared_utilization`
-exactly like the single-node policies do, and returns the least-loaded
-slot that still fits the candidate's declared budget.
+:mod:`repro.core.placement` owns the fit test and the best-fit choice;
+this service only lists the federation's slots for it.  The outer
+question comes first: *which node*.  :meth:`ClusterPlacementService
+.choose_node` hands :func:`~repro.core.placement.best_fit` every
+(node, CPU) slot across the membership, loaded with each node's
+:meth:`~repro.core.registry.ComponentRegistry.declared_utilization`;
+:meth:`~ClusterPlacementService.choose_node_for_group` hands it one
+slot per node, sized ``num_cpus * cap``.
 
-The split of authority mirrors the single-node design: the cluster
-picks the node (and *predicts* the CPU for reporting and capacity
-math), then the chosen node's own placement service
+The cluster picks the node; the chosen node's own placement service
 (:class:`~repro.core.placement.BestFitPlacement` by default) re-pins
 the CPU at admission, and its resolving services re-decide admission.
 A placement choice here is a routing decision, never an admission
 bypass.
 """
 
-from repro.core.placement import component_is_pinned  # noqa: F401  (re-export)
+from repro.core.placement import best_fit
 
 
 class ClusterPlacementService:
@@ -31,40 +29,29 @@ class ClusterPlacementService:
         self.cluster = cluster
         self.cap = cap
 
-    def choose(self, cpu_usage, exclude=(), extra_load=None):
-        """The least-loaded ``(node_name, cpu)`` that fits
+    def choose_node(self, cpu_usage, exclude=(), extra_load=None):
+        """The node holding the least-loaded CPU slot that fits
         ``cpu_usage``, or ``None`` when nothing does.
 
+        Slots are scanned in ``alive_nodes()`` order, then CPU index;
         ``exclude`` names nodes not to consider (the dead node during
         failover, the source during migration target choice).
         ``extra_load`` maps ``(node_name, cpu)`` to budget already
-        promised but not yet visible in the registries -- failover
-        plans a whole group before deploying any of it, and tallies
-        its own choices there so the group spreads instead of piling
-        onto one slot.
+        promised but not yet visible in the registries.
         """
-        best = None
-        best_load = None
+        names = []
+        loads = []
         extra_load = extra_load or {}
         for node in self.cluster.alive_nodes():
             if node.name in exclude:
                 continue
             registry = node.drcr.registry
             for cpu in range(node.kernel.config.num_cpus):
-                load = registry.declared_utilization(cpu) \
-                    + extra_load.get((node.name, cpu), 0.0)
-                if load + cpu_usage > self.cap + 1e-12:
-                    continue
-                if best_load is None or load < best_load:
-                    best = (node.name, cpu)
-                    best_load = load
-        return best
-
-    def choose_node(self, cpu_usage, exclude=(), extra_load=None):
-        """Node-name half of :meth:`choose` (or ``None``)."""
-        slot = self.choose(cpu_usage, exclude=exclude,
-                           extra_load=extra_load)
-        return slot[0] if slot is not None else None
+                names.append(node.name)
+                loads.append(registry.declared_utilization(cpu)
+                             + extra_load.get((node.name, cpu), 0.0))
+        best = best_fit(loads, cpu_usage, [self.cap] * len(loads))
+        return names[best] if best is not None else None
 
     def choose_node_for_group(self, total_usage, exclude=(),
                               extra_node_load=None):
@@ -76,23 +63,22 @@ class ClusterPlacementService:
         service spreads the members over its CPUs at admission.
         ``extra_node_load`` maps node name to budget already promised
         to earlier groups in the same plan."""
-        best = None
-        best_load = None
+        names = []
+        loads = []
+        caps = []
         extra_node_load = extra_node_load or {}
         for node in self.cluster.alive_nodes():
             if node.name in exclude:
                 continue
             registry = node.drcr.registry
             num_cpus = node.kernel.config.num_cpus
-            load = sum(registry.declared_utilization(cpu)
-                       for cpu in range(num_cpus)) \
-                + extra_node_load.get(node.name, 0.0)
-            if load + total_usage > num_cpus * self.cap + 1e-12:
-                continue
-            if best_load is None or load < best_load:
-                best = node.name
-                best_load = load
-        return best
+            names.append(node.name)
+            loads.append(sum(registry.declared_utilization(cpu)
+                             for cpu in range(num_cpus))
+                         + extra_node_load.get(node.name, 0.0))
+            caps.append(num_cpus * self.cap)
+        best = best_fit(loads, total_usage, caps)
+        return names[best] if best is not None else None
 
     def utilization_map(self):
         """Declared utilization per (node, CPU), for reports."""

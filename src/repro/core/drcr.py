@@ -49,6 +49,7 @@ from repro.core.management import (
     ComponentManagementService,
     management_service_properties,
 )
+from repro.core.placement import is_pinned
 from repro.core.policies import UtilizationBoundPolicy
 from repro.core.ports import PortBinding
 from repro.core.registry import ComponentRegistry
@@ -801,10 +802,9 @@ class DRCR:
 
     def _apply_placement(self, component, view):
         """Let the placement service re-pin the candidate's CPU."""
-        from repro.core.placement import component_is_pinned
         if self.placement_service is None:
             return
-        if component_is_pinned(component):
+        if is_pinned(component.descriptor):
             return
         cpu = self.placement_service.place(component, view)
         if cpu is None or cpu == component.contract.cpu:

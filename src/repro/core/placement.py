@@ -1,4 +1,4 @@
-"""Placement services: automatic CPU assignment for components.
+"""Placement: the one fit test, best-fit and grouping every layer uses.
 
 The descriptor's ``runoncup``/``runoncpu`` attribute pins a component to
 a processor chosen by the developer at design time.  On a multi-core
@@ -10,7 +10,83 @@ to the CPU the policy selects.
 
 A descriptor can opt out per component with the property
 ``drcom.placement = "pinned"`` (the design-time pin is then honoured).
+
+This module is the one owner of the declared-budget placement
+decision: :func:`fits`, :func:`best_fit`, :func:`is_pinned` and
+:func:`co_location_groups`.  Admission, CPU and node placement,
+graceful degradation and failover call them at run time, and the
+DRT601/DRT602 plan analyzers call them on plan data, so the linter and
+the runtime agree by construction.
 """
+
+import itertools
+
+#: Float slack on every declared-budget comparison: a claim fits when
+#: ``load + claim <= cap + CAPACITY_SLACK``.
+CAPACITY_SLACK = 1e-12
+
+
+def fits(total, cap):
+    """Whether a declared-utilization ``total`` stays within ``cap``."""
+    return total <= cap + CAPACITY_SLACK
+
+
+def best_fit(loads, claim, caps):
+    """Index of the least-loaded slot that fits ``claim``, or ``None``.
+
+    Slot ``i`` fits when ``loads[i] + claim`` passes :func:`fits`
+    against ``caps[i]``; ties go to the first slot.  The test is
+    inlined rather than called per slot: PlanGuard's lint runs this
+    once per component on every deploy.
+    """
+    best = None
+    best_load = None
+    for index, load in enumerate(loads):
+        if load + claim > caps[index] + CAPACITY_SLACK:
+            continue
+        if best is None or load < best_load:
+            best = index
+            best_load = load
+    return best
+
+
+def is_pinned(descriptor):
+    """Whether the descriptor opts out of automatic placement."""
+    return descriptor.property_value("drcom.placement") == "pinned"
+
+
+def co_location_groups(items, applications, name_of):
+    """Partition ``items`` into co-location groups.
+
+    Members of one application (transitively, when applications
+    overlap) form one group -- their port wiring only resolves inside
+    one node's kernel.  Everything else is a singleton.  Application
+    groups come first, then singletons, each in ``items`` order;
+    ``name_of(item)`` is the item's component name.
+    """
+    group_of = {}  # component name -> group id
+    merged = {}    # group id -> set of names
+    next_id = itertools.count()
+    for members in applications.values():
+        ids = {group_of[m] for m in members if m in group_of}
+        target = min(ids) if ids else next(next_id)
+        names = merged.setdefault(target, set())
+        for gid in ids:
+            if gid != target:
+                names |= merged.pop(gid)
+        names.update(members)
+        for name in names:
+            group_of[name] = target
+    groups = {}
+    singles = []
+    for item in items:
+        gid = group_of.get(name_of(item))
+        if gid is None:
+            singles.append([item])
+        else:
+            groups.setdefault(gid, []).append(item)
+    return list(groups.values()) + singles
+
 
 class PlacementService:
     """Interface: choose a CPU for a candidate before admission."""
@@ -44,8 +120,8 @@ class FirstFitPlacement(PlacementService):
     def place(self, candidate, view):
         usage = candidate.contract.cpu_usage
         for cpu in range(view.num_cpus()):
-            current = view.registry.declared_utilization(cpu)
-            if current + usage <= self.cap + 1e-12:
+            if fits(view.registry.declared_utilization(cpu) + usage,
+                    self.cap):
                 return cpu
         return None  # nowhere fits: leave the pin, admission decides
 
@@ -59,20 +135,8 @@ class BestFitPlacement(PlacementService):
         self.cap = cap
 
     def place(self, candidate, view):
-        usage = candidate.contract.cpu_usage
-        best_cpu = None
-        best_load = None
-        for cpu in range(view.num_cpus()):
-            current = view.registry.declared_utilization(cpu)
-            if current + usage > self.cap + 1e-12:
-                continue
-            if best_load is None or current < best_load:
-                best_cpu = cpu
-                best_load = current
-        return best_cpu
-
-
-def component_is_pinned(component):
-    """Whether the descriptor opts out of automatic placement."""
-    return component.descriptor.property_value(
-        "drcom.placement") == "pinned"
+        num_cpus = view.num_cpus()
+        loads = [view.registry.declared_utilization(cpu)
+                 for cpu in range(num_cpus)]
+        return best_fit(loads, candidate.contract.cpu_usage,
+                        [self.cap] * num_cpus)

@@ -26,6 +26,7 @@ from repro.analysis import (
     liu_layland_test,
     rta_schedulable,
 )
+from repro.core.placement import fits
 from repro.core.resolving import Decision, ResolvingService
 
 
@@ -78,7 +79,7 @@ class UtilizationBoundPolicy(ResolvingService):
     def admit(self, candidate, view):
         cpu = candidate.contract.cpu
         total = view.declared_utilization(cpu, include_candidate=True)
-        if total <= self.cap + 1e-12:
+        if fits(total, self.cap):
             return Decision.yes(
                 "cpu%d utilization %.3f <= cap %.3f"
                 % (cpu, total, self.cap))
@@ -89,7 +90,7 @@ class UtilizationBoundPolicy(ResolvingService):
     def revalidate(self, component, view):
         cpu = component.contract.cpu
         total = view.declared_utilization(cpu, include_candidate=False)
-        if total <= self.cap + 1e-12:
+        if fits(total, self.cap):
             return Decision.yes("within cap")
         return Decision.no(
             "cpu%d utilization %.3f exceeds cap %.3f after change"

@@ -19,6 +19,7 @@ fault-injection subsystem exercises:
 """
 
 from repro.core.lifecycle import ComponentState
+from repro.core.placement import fits
 from repro.core.resolving import Decision, ResolvingService
 
 
@@ -160,7 +161,7 @@ class GracefulDegradationService(ResolvingService):
     def admit(self, candidate, view):
         cpu = candidate.contract.cpu
         total = view.declared_utilization(cpu, include_candidate=True)
-        if total > self.cap:
+        if not fits(total, self.cap):
             return Decision.no(
                 "cpu %d would exceed degradation cap %.2f "
                 "(%.2f declared)" % (cpu, self.cap, total))
@@ -172,11 +173,11 @@ class GracefulDegradationService(ResolvingService):
                     if peer.contract.cpu == cpu
                     and peer.state is not ComponentState.DEACTIVATING]
         total = sum(peer.contract.cpu_usage for peer in admitted)
-        if total <= self.cap:
+        if fits(total, self.cap):
             return Decision.yes("cpu %d within budget" % cpu)
         victims = set()
         remaining = sorted(admitted, key=_importance_key)
-        while remaining and total > self.cap:
+        while remaining and not fits(total, self.cap):
             victim = remaining.pop()  # least important last
             victims.add(victim.name)
             total -= victim.contract.cpu_usage

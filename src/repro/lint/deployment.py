@@ -10,7 +10,10 @@ adaptation rule files that will steer the result.  Everything a
 placement, failover re-homing, cross-node wiring, management routing
 -- is re-derived here statically, with no Cluster, Framework or kernel
 instantiated (the layering rule in ``docs/ARCHITECTURE.md``: lint may
-*model* cluster topology, never build one).
+*model* cluster topology, never build one).  DRT601/DRT602 own no
+placement math: they call the fit test, best-fit and grouping of
+:mod:`repro.core.placement`, the functions the runtime calls, on plan
+data.
 
 Plan schema (``docs/STATIC_ANALYSIS.md`` renders the reference)::
 
@@ -34,16 +37,14 @@ directory.  The checks:
 * **DRT600** -- the plan document itself fails to parse or validate
   (schema problems, unknown nodes, unreadable sources, duplicate
   homes, bad link quality);
-* **DRT601** -- a node cannot host its declared components: the same
-  best-fit math as :class:`~repro.core.placement.BestFitPlacement`
-  (which re-pins CPUs at admission) finds no CPU for a claim, or a
+* **DRT601** -- a node cannot host its declared components: the
+  best-fit CPU choice finds no CPU for a claim, or a
   ``drcom.placement=pinned`` component oversubscribes its pinned CPU;
 * **DRT602** -- no N-1 failover headroom: for each node, simulate its
   loss and re-place its components group by group over the survivors
-  under :meth:`~repro.cluster.placement.ClusterPlacementService
-  .choose_node_for_group` semantics (node capacity ``num_cpus * cap``,
-  greedy least-loaded, co-location groups move whole); any group left
-  without a home means the fleet is one crash away from stranding it;
+  (node capacity ``num_cpus * cap``, greedy least-loaded, co-location
+  groups move whole); any group left without a home means the fleet
+  is one crash away from stranding it;
 * **DRT603** -- a wired application split across nodes (or an inport
   whose only signature-compatible providers live on other nodes):
   ports bind inside one node's kernel, so the runtime can never
@@ -69,10 +70,13 @@ both the fleet shape and every node's local deployment.
 
 import json
 import os
+from operator import attrgetter
 
 from repro.adapt.rules import parse_rule_document_tolerant
 from repro.analysis import TaskSpec, response_time
 from repro.cluster.transport import LinkSpec
+from repro.core.placement import (
+    best_fit, co_location_groups, fits, is_pinned)
 from repro.lint import memo
 # Shared interval arithmetic: DRT606 must agree with DRT503 about
 # when two rule conditions can hold in the same epoch.
@@ -85,9 +89,6 @@ PLAN_SCHEMA_VERSION = 1
 #: The management plane's transport endpoint (mirrors
 #: ``Cluster.coordinator_name`` without importing the federation).
 COORDINATOR = "control"
-
-#: Same capacity slack as the runtime placement services.
-_EPSILON = 1e-12
 
 _PLAN_KEYS = frozenset((
     "plan_version", "name", "cap", "default_link", "links", "nodes",
@@ -439,6 +440,9 @@ def parse_plan(document, location="<plan>", base_dir=None):
 # ----------------------------------------------------------------------
 # the checks
 # ----------------------------------------------------------------------
+_component_name = attrgetter("descriptor.name")
+
+
 def _enabled_components(plan, node_name):
     return [comp for comp in plan.components_of(node_name)
             if comp.descriptor is not None and comp.descriptor.enabled]
@@ -447,29 +451,28 @@ def _enabled_components(plan, node_name):
 def _check_hosting(plan):
     """DRT601: every node must fit its own components.
 
-    Replays the node's admission statically: pinned components
-    (``drcom.placement=pinned``) claim their declared CPU, everything
-    else is best-fit re-pinned exactly like
-    :class:`~repro.core.placement.BestFitPlacement` does at deploy
-    time, in plan order.
+    Replays the node's admission statically, in plan order: pinned
+    components (:func:`~repro.core.placement.is_pinned`) claim their
+    declared CPU, everything else takes the
+    :func:`~repro.core.placement.best_fit` CPU that
+    :class:`~repro.core.placement.BestFitPlacement` picks at deploy
+    time.
     """
     diagnostics = []
     for node_name, node in plan.nodes.items():
         loads = [0.0] * node.num_cpus
+        caps = [node.cap] * node.num_cpus
         for comp in _enabled_components(plan, node_name):
-            contract = comp.descriptor.contract
-            usage = contract.cpu_usage
-            pinned = comp.descriptor.property_value(
-                "drcom.placement") == "pinned"
-            if pinned:
-                cpu = contract.cpu
+            usage = comp.descriptor.contract.cpu_usage
+            if is_pinned(comp.descriptor):
+                cpu = comp.descriptor.contract.cpu
                 if cpu >= node.num_cpus:
                     diagnostics.append(Diagnostic(
                         "DRT601", comp.descriptor.name, comp.location,
                         "pinned to CPU %d, but node %r declares only "
                         "%d CPU(s)" % (cpu, node_name, node.num_cpus)))
                     continue
-                if loads[cpu] + usage > node.cap + _EPSILON:
+                if not fits(loads[cpu] + usage, node.cap):
                     diagnostics.append(Diagnostic(
                         "DRT601", comp.descriptor.name, comp.location,
                         "pinned claim %.3f does not fit CPU %d of "
@@ -479,12 +482,7 @@ def _check_hosting(plan):
                     continue
                 loads[cpu] += usage
                 continue
-            best = None
-            for cpu in range(node.num_cpus):
-                if loads[cpu] + usage > node.cap + _EPSILON:
-                    continue
-                if best is None or loads[cpu] < loads[best]:
-                    best = cpu
+            best = best_fit(loads, usage, caps)
             if best is None:
                 diagnostics.append(Diagnostic(
                     "DRT601", comp.descriptor.name, comp.location,
@@ -498,48 +496,17 @@ def _check_hosting(plan):
     return diagnostics
 
 
-def _group_components(members, applications):
-    """Co-location groups of one node's components.
-
-    Mirrors ``repro.cluster.federation._group_entries``: members of
-    one application (transitively, when applications overlap) form one
-    group, everything else is a singleton; application groups come
-    first, exactly the order failover re-homing plans in.
-    """
-    group_of = {}
-    merged = {}
-    next_id = 0
-    for app_members in applications.values():
-        ids = {group_of[m] for m in app_members if m in group_of}
-        target = min(ids) if ids else next_id
-        if not ids:
-            next_id += 1
-        names = merged.setdefault(target, set())
-        for gid in ids:
-            if gid != target:
-                names |= merged.pop(gid)
-        names.update(app_members)
-        for name in names:
-            group_of[name] = target
-    groups = {}
-    singles = []
-    for comp in members:
-        gid = group_of.get(comp.descriptor.name)
-        if gid is None:
-            singles.append([comp])
-        else:
-            groups.setdefault(gid, []).append(comp)
-    return list(groups.values()) + singles
-
-
 def _check_failover_capacity(plan):
     """DRT602: simulate each node's loss; survivors must absorb it.
 
-    Greedy group placement under ``choose_node_for_group`` semantics:
-    node capacity is ``num_cpus * cap``, the least-loaded survivor
-    that fits takes the group, and earlier groups' budget counts
-    against later ones (``extra_node_load``).  N-1 analysis needs at
-    least two nodes; single-node plans are skipped.
+    Replays runtime failover on plan data: the lost node's
+    :func:`~repro.core.placement.co_location_groups` each go to the
+    :func:`~repro.core.placement.best_fit` survivor (capacity
+    ``num_cpus * cap``, plan node order), and earlier groups' budget
+    counts against later ones, as ``extra_node_load`` does for
+    :meth:`~repro.cluster.placement.ClusterPlacementService
+    .choose_node_for_group`.  N-1 analysis needs at least two nodes;
+    single-node plans are skipped.
     """
     if len(plan.nodes) < 2:
         return []
@@ -553,28 +520,22 @@ def _check_failover_capacity(plan):
         members = _enabled_components(plan, dead)
         if not members:
             continue
-        extra = {}
-        for group in _group_components(members, plan.applications):
+        survivors = [name for name in plan.nodes if name != dead]
+        base = [base_load[name] for name in survivors]
+        caps = [plan.nodes[name].capacity for name in survivors]
+        extra = [0.0] * len(survivors)
+        loads = list(base)
+        for group in co_location_groups(members, plan.applications,
+                                        _component_name):
             total = sum(comp.descriptor.contract.cpu_usage
                         for comp in group)
-            best = None
-            best_load = None
-            for survivor, node in plan.nodes.items():
-                if survivor == dead:
-                    continue
-                load = base_load[survivor] + extra.get(survivor, 0.0)
-                if load + total > node.capacity + _EPSILON:
-                    continue
-                if best_load is None or load < best_load:
-                    best = survivor
-                    best_load = load
+            best = best_fit(loads, total, caps)
             if best is None:
                 names = ", ".join(sorted(comp.descriptor.name
                                          for comp in group))
                 headroom = max(
-                    (plan.nodes[s].capacity - base_load[s]
-                     - extra.get(s, 0.0)
-                     for s in plan.nodes if s != dead),
+                    (cap - load - more
+                     for cap, load, more in zip(caps, base, extra)),
                     default=0.0)
                 diagnostics.append(Diagnostic(
                     "DRT602", names, group[0].location,
@@ -584,7 +545,8 @@ def _check_failover_capacity(plan):
                     "failover capacity"
                     % (dead, names, total, headroom)))
             else:
-                extra[best] = extra.get(best, 0.0) + total
+                extra[best] += total
+                loads[best] = base[best] + extra[best]
     return diagnostics
 
 

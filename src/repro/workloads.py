@@ -519,46 +519,6 @@ def generate_defective_plan(kind):
     return plan, PLAN_DEFECT_CODES[kind]
 
 
-def generate_fault_plan(rng, name, descriptors, horizon_ns=1_000_000_000,
-                        crash_fraction=0.25, overrun_fraction=0.25,
-                        overrun_factor=50.0):
-    """A random chaos plan over a generated component population.
-
-    Picks ``crash_fraction`` of the components for a crash and
-    ``overrun_fraction`` for a WCET-overrun window, with injection
-    times uniform in the middle 80 % of ``horizon_ns``.  All draws go
-    through the ``faultplan/<name>`` stream, so like the workload
-    generators the plan reproduces exactly under one master seed; the
-    plan's own seed is drawn from the same stream, keeping the
-    injectors' probability gates deterministic too.
-
-    Returns a :class:`~repro.faults.plan.FaultPlan` ready for
-    :class:`~repro.faults.engine.FaultEngine`.
-    """
-    from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-    stream = "faultplan/%s" % name
-    names = [descriptor.name for descriptor in descriptors]
-    lo = int(horizon_ns * 0.1)
-    hi = int(horizon_ns * 0.9)
-    faults = []
-    crash_count = max(1, int(len(names) * crash_fraction)) \
-        if names else 0
-    overrun_count = max(1, int(len(names) * overrun_fraction)) \
-        if names else 0
-    for target in sorted(rng.stream(stream).sample(names, crash_count)):
-        faults.append(FaultSpec(FaultKind.CRASH, target,
-                                at_ns=rng.randint(stream, lo, hi)))
-    for target in sorted(rng.stream(stream).sample(names,
-                                                   overrun_count)):
-        faults.append(FaultSpec(
-            FaultKind.OVERRUN, target,
-            at_ns=rng.randint(stream, lo, hi),
-            duration_ns=max(1, horizon_ns // 50),
-            factor=overrun_factor))
-    return FaultPlan(name, seed=rng.randint(stream, 0, 2**31 - 1),
-                     faults=sorted(faults, key=lambda s: s.at_ns))
-
-
 #: Rule-set kinds :func:`generate_rule_set` can emit.
 RULE_SET_KINDS = ("latency-guard", "miss-rate-guard",
                   "migration-rebalance")

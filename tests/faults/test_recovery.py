@@ -208,6 +208,25 @@ class TestGracefulDegradation:
         assert platform.drcr.component_state("GDC000") \
             is ComponentState.ACTIVE
 
+    def test_claims_summing_to_the_cap_are_admitted_and_kept(
+            self, platform):
+        # 0.2 + 0.4 + 0.3 + 0.1 is 1.0000000000000002 in floats: the
+        # service must apply the same fit test as the platform's
+        # UtilizationBoundPolicy, or it vetoes the fourth claim.
+        service = GracefulDegradationService(cap=1.0)
+        platform.drcr.framework.registry.register(
+            RESOLVING_SERVICE_INTERFACE, service)
+        names = ("GDA000", "GDB000", "GDC000", "GDD000")
+        for priority, (name, usage) in enumerate(
+                zip(names, (0.2, 0.4, 0.3, 0.1)), start=1):
+            deploy(platform, make_descriptor_xml(
+                name, cpuusage=usage, frequency=100, priority=priority))
+        platform.drcr.reconfigure()
+        assert service.shed == []
+        for name in names:
+            assert platform.drcr.component_state(name) \
+                is ComponentState.ACTIVE
+
     def test_shed_lowest_priority_helper(self, platform):
         self.deploy_three(platform)
         assert shed_lowest_priority(platform.drcr) == "GDC000"
