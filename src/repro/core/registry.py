@@ -22,7 +22,16 @@ per lifecycle event is index-backed rather than a full scan:
   component.  The DRCR's incremental reconfiguration propagates dirty
   sets along exactly these edges;
 * a **task-name index** for O(1) duplicate detection and fault
-  attribution.
+  attribution;
+* a **per-CPU utilization ledger**: the exact sum, as a
+  :class:`fractions.Fraction`, of the declared ``cpuusage`` claims of
+  the ACTIVE and SUSPENDED components on each CPU.  A claim
+  ``(cpu, Fraction(cpu_usage))`` is recorded when a component enters
+  those states and that same recorded claim is subtracted when it
+  leaves them, so the ledger never re-reads a contract.  Exact, not a
+  running float sum: a float sum drifts and depends on the order
+  components were admitted, while the correctly rounded exact total
+  is one value for every order.
 
 ``all()`` intentionally stays a plain walk of the name map -- it is the
 oracle the property-based index-consistency tests compare every index
@@ -30,6 +39,7 @@ against (``tests/property/test_prop_registry_index.py``).
 """
 
 import itertools
+from fractions import Fraction
 
 from repro.core.errors import (
     DuplicateComponentError,
@@ -69,6 +79,11 @@ class ComponentRegistry:
         self._wired = {}
         #: bundle -> {name: component} for O(answer) bundle undeploys.
         self._by_bundle = {}
+        #: name -> (cpu, Fraction(cpu_usage)) of each admitted
+        #: component, as recorded when it entered ACTIVE/SUSPENDED.
+        self._claims = {}
+        #: cpu -> exact sum of the claims recorded on it.
+        self._ledger = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -108,6 +123,8 @@ class ComponentRegistry:
         if component.bundle is not None:
             self._by_bundle.setdefault(
                 component.bundle, {})[name] = component
+        if component.state in _ADMITTED_STATES:
+            self._record_claim(component)
         component._registry = self
 
     def remove(self, component):
@@ -120,6 +137,7 @@ class ComponentRegistry:
         self._task_names.pop(component.descriptor.task_name, None)
         for bucket in self._by_state.values():
             bucket.pop(name, None)
+        self._release_claim(name)
         for outport in component.descriptor.outports:
             signature = outport.signature()
             entries = self._providers.get(signature)
@@ -186,6 +204,11 @@ class ComponentRegistry:
         bucket = self._by_state[old_state]
         if bucket.pop(name, None) is not None:
             self._by_state[new_state][name] = component
+            if new_state in _ADMITTED_STATES:
+                if name not in self._claims:
+                    self._record_claim(component)
+            elif name in self._claims:
+                self._release_claim(name)
 
     def in_state(self, *states):
         """Components currently in any of ``states``, in registration
@@ -298,20 +321,33 @@ class ComponentRegistry:
     # ------------------------------------------------------------------
     # utilization ledger
     # ------------------------------------------------------------------
+    def _record_claim(self, component):
+        """Add an entering component's claim to its CPU's total."""
+        contract = component.contract
+        cpu = contract.cpu
+        claim = Fraction(contract.cpu_usage)
+        self._claims[component.name] = (cpu, claim)
+        self._ledger[cpu] = self._ledger.get(cpu, 0) + claim
+
+    def _release_claim(self, name):
+        """Subtract the claim recorded for ``name``, if any."""
+        entry = self._claims.pop(name, None)
+        if entry is not None:
+            cpu, claim = entry
+            self._ledger[cpu] -= claim
+
     def declared_utilization(self, cpu, extra=None):
         """Sum of declared ``cpuusage`` of admitted components on a CPU.
 
         ``extra`` (a contract) is added on top -- the admission check's
-        "what if we admit this one too" view.
+        "what if we admit this one too" view.  The result is the exact
+        sum correctly rounded to a float, whatever order the claims
+        were admitted in.
         """
-        total = 0.0
-        for state in _ADMITTED_STATES:
-            for component in self._by_state[state].values():
-                if component.contract.cpu == cpu:
-                    total += component.contract.cpu_usage
+        total = self._ledger.get(cpu, 0)
         if extra is not None and extra.cpu == cpu:
-            total += extra.cpu_usage
-        return total
+            total += Fraction(extra.cpu_usage)
+        return float(total)
 
     def admitted_contracts(self, cpu=None):
         """Contracts of admitted components (optionally one CPU)."""

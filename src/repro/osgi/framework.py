@@ -18,8 +18,15 @@ from repro.osgi.events import (
     FrameworkEventType,
     ListenerList,
 )
+from repro.osgi.manifest import BundleManifest
 from repro.osgi.registry import ServiceRegistry
+from repro.osgi.version import Version
 from repro.osgi.wiring import WiringResolver
+
+
+def _identity(bundle):
+    """A bundle's (or manifest's) ``(symbolic name, version)`` key."""
+    return bundle.symbolic_name, bundle.version
 
 
 class Framework:
@@ -31,7 +38,11 @@ class Framework:
     """
 
     def __init__(self, telemetry=None):
-        self._bundles = []
+        #: bundle id -> bundle, in install order.
+        self._bundles = {}
+        #: (symbolic name, version) -> the installed bundle with that
+        #: identity (at most one, per spec).
+        self._by_identity = {}
         self._ids = itertools.count(1)
         self.framework_events = []
         self.bundle_listeners = ListenerList(on_error=self._listener_error)
@@ -67,14 +78,13 @@ class Framework:
         """
         bundle = Bundle(self, next(self._ids), headers, resources,
                         activator)
-        for existing in self._bundles:
-            if (existing.symbolic_name == bundle.symbolic_name
-                    and existing.version == bundle.version
-                    and existing.state is not BundleState.UNINSTALLED):
-                raise BundleError(
-                    "bundle %s %s already installed"
-                    % (bundle.symbolic_name, bundle.version))
-        self._bundles.append(bundle)
+        identity = _identity(bundle)
+        if identity in self._by_identity:
+            raise BundleError(
+                "bundle %s %s already installed"
+                % (bundle.symbolic_name, bundle.version))
+        self._bundles[bundle.bundle_id] = bundle
+        self._by_identity[identity] = bundle
         self._emit_bundle_event(BundleEventType.INSTALLED, bundle)
         return bundle
 
@@ -138,13 +148,28 @@ class Framework:
             self.resolver.withdraw_exports(bundle)
             self._emit_bundle_event(BundleEventType.UNRESOLVED, bundle)
         bundle.state = BundleState.UNINSTALLED
+        del self._by_identity[_identity(bundle)]
         self._emit_bundle_event(BundleEventType.UNINSTALLED, bundle)
-        self._bundles.remove(bundle)
+        del self._bundles[bundle.bundle_id]
 
     def update_bundle(self, bundle, headers=None, resources=None,
                       activator=None):
         """Swap bundle content in place (the continuous-deployment
-        update path); an active bundle is stopped, updated, restarted."""
+        update path); an active bundle is stopped, updated, restarted.
+
+        New headers may not give the bundle the (symbolic-name,
+        version) identity of another installed bundle: that is rejected
+        before the bundle is touched, as a duplicate install is.
+        """
+        manifest = None
+        if headers is not None:
+            manifest = BundleManifest(headers)
+            owner = self._by_identity.get(_identity(manifest))
+            if owner is not None and owner is not bundle \
+                    and bundle.state is not BundleState.UNINSTALLED:
+                raise BundleError(
+                    "bundle %s %s already installed"
+                    % (manifest.symbolic_name, manifest.version))
         was_active = bundle.state is BundleState.ACTIVE
         if was_active:
             self.stop_bundle(bundle)
@@ -152,9 +177,13 @@ class Framework:
             self.resolver.unresolve(bundle)
             self.resolver.withdraw_exports(bundle)
             bundle.state = BundleState.INSTALLED
-        if headers is not None:
-            from repro.osgi.manifest import BundleManifest
-            bundle.manifest = BundleManifest(headers)
+        if manifest is not None:
+            installed = bundle.state is not BundleState.UNINSTALLED
+            if installed:
+                del self._by_identity[_identity(bundle)]
+            bundle.manifest = manifest
+            if installed:
+                self._by_identity[_identity(bundle)] = bundle
         if resources is not None:
             bundle.resources = dict(resources)
         if activator is not None:
@@ -168,14 +197,18 @@ class Framework:
     # ------------------------------------------------------------------
     def get_bundles(self):
         """All installed bundles, in install order."""
-        return list(self._bundles)
+        return list(self._bundles.values())
 
     def get_bundle(self, symbolic_name, version=None):
-        """Find a bundle by symbolic name (and optionally version)."""
-        for bundle in self._bundles:
+        """Find a bundle by symbolic name (and optionally version, in
+        any form :meth:`Version.parse` accepts: ``"1.0"`` finds
+        ``1.0.0``)."""
+        if version is not None:
+            version = Version.parse(version)
+        for bundle in self._bundles.values():
             if bundle.symbolic_name != symbolic_name:
                 continue
-            if version is not None and str(bundle.version) != str(version):
+            if version is not None and bundle.version != version:
                 continue
             return bundle
         return None
@@ -183,7 +216,7 @@ class Framework:
     def shutdown(self):
         """Stop every active bundle (reverse install order) and the
         framework itself."""
-        for bundle in reversed(self._bundles):
+        for bundle in reversed(list(self._bundles.values())):
             if bundle.state is BundleState.ACTIVE:
                 self.stop_bundle(bundle)
         self._started = False

@@ -21,6 +21,8 @@ deep wake chains (a send waking a receiver waking a sender...) settle
 deterministically before time advances.
 """
 
+import heapq
+
 from repro.rtos import requests as rq
 from repro.rtos.errors import (
     DuplicateNameError,
@@ -44,6 +46,9 @@ from repro.sim.events import PRIORITY_INTERRUPT, PRIORITY_LATE, \
 
 TIMER_PERIODIC = "periodic"
 TIMER_ONESHOT = "oneshot"
+
+#: Plumbing names are a ``$X`` prefix plus a four-digit index.
+_NAME_INDICES = 10000
 
 
 class KernelConfig:
@@ -104,6 +109,11 @@ class RTKernel:
         self._timer_epoch = 0
         # Object registry (single RTAI-style namespace).
         self._registry = {}
+        # Plumbing-name allocator, per ``$X`` prefix: every free index
+        # below the high-water mark is on the min-heap of released
+        # indices (which may also hold stale, since re-taken, entries).
+        self._name_marks = {}
+        self._released_names = {}
         self.tasks = []
         # Hot-path caches: dispatch cost is a property sum, the latency
         # model's sample entry is a bound method, and the zero-offset
@@ -174,21 +184,52 @@ class RTKernel:
         """Whether a kernel object with that name exists."""
         return name.upper() in self._registry
 
+    def _unregister(self, name):
+        """Drop a registry entry; a released plumbing name below its
+        prefix's high-water mark goes back on that prefix's heap."""
+        if self._registry.pop(name, None) is None:
+            return
+        if name[:1] == "$" and name[-4:].isdigit():
+            prefix = name[:-4]
+            index = int(name[-4:])
+            if index < self._name_marks.get(prefix, 0):
+                heapq.heappush(self._released_names[prefix], index)
+
     def unique_name(self, prefix):
-        """Allocate an unused 6-character name like ``$C0042``.
+        """The lowest unused 6-character name like ``$C0042``.
 
         Used for anonymous kernel objects (e.g. the hybrid container's
         command/status mailboxes) whose names are plumbing, not shared
         references.  Names live in the ``$`` namespace: ``$`` is legal
         in RTAI names but rejected by descriptor port/task validation,
         so plumbing can never collide with component-declared names.
+
+        A pure query: the name is not reserved, so two calls without a
+        registration in between return the same name.  It is always
+        the lowest free index, as a probe from ``0000`` would find,
+        at amortized O(log n) cost: the smallest released index is
+        checked first, and otherwise the probe resumes from the
+        prefix's high-water mark, which only advances past taken
+        names.
         """
         prefix = ("$" + prefix.upper())[:2]
-        for index in range(10000):
-            candidate = "%s%04d" % (prefix, index)
-            if candidate not in self._registry:
+        registry = self._registry
+        released = self._released_names.setdefault(prefix, [])
+        while released:
+            candidate = "%s%04d" % (prefix, released[0])
+            if candidate not in registry:
                 return candidate
-        raise DuplicateNameError("name space %s exhausted" % prefix)
+            heapq.heappop(released)
+        mark = self._name_marks.get(prefix, 0)
+        while mark < _NAME_INDICES:
+            candidate = "%s%04d" % (prefix, mark)
+            if candidate not in registry:
+                break
+            mark += 1
+        self._name_marks[prefix] = mark
+        if mark == _NAME_INDICES:
+            raise DuplicateNameError("name space %s exhausted" % prefix)
+        return candidate
 
     # ------------------------------------------------------------------
     # hardware timer
@@ -543,7 +584,7 @@ class RTKernel:
                 pass  # deleting from within the body itself
         task._gen = None
         task._blocked_on = None
-        self._registry.pop(task.name, None)
+        self._unregister(task.name)
         if task in self.tasks:
             self.tasks.remove(task)
         self._trace("task_delete", task=task.name)
@@ -573,7 +614,7 @@ class RTKernel:
         """Detach from a segment; the last detach frees it."""
         segment = self.lookup(name)
         if segment.detach(owner):
-            self._registry.pop(segment.name, None)
+            self._unregister(segment.name)
             self._trace("shm_free", name=segment.name)
 
     def mailbox(self, name, capacity=16):
@@ -611,7 +652,7 @@ class RTKernel:
         obj = self.lookup(name)
         if isinstance(obj, RTTask):
             raise TaskStateError("use delete_task for tasks")
-        self._registry.pop(obj.name, None)
+        self._unregister(obj.name)
         self._trace("obj_free", name=obj.name)
 
     # ==================================================================

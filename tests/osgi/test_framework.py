@@ -48,6 +48,14 @@ class TestInstall:
         assert fw.get_bundle("a").version == fw.get_bundles()[0].version
         assert fw.get_bundle("zzz") is None
 
+    def test_get_bundle_accepts_a_short_version(self, fw):
+        # "1.0" is stored as 1.0.0; the query must parse, not compare
+        # strings.
+        bundle = install(fw, "a", "1.0")
+        assert fw.get_bundle("a", "1.0") is bundle
+        assert fw.get_bundle("a", "1.0.0") is bundle
+        assert fw.get_bundle("a", "1.1") is None
+
     def test_installed_event_emitted(self, fw):
         events = []
         fw.bundle_listeners.add(events.append)
@@ -210,6 +218,25 @@ class TestUninstallUpdate:
         assert str(bundle.version) == "1.1.0"
         assert BundleEventType.UPDATED in events
         assert events[-1] is BundleEventType.STARTED
+
+    def test_update_to_another_bundles_identity_rejected(self, fw):
+        bundle = install(fw, "c")
+        bundle.start()
+        install(fw, "a")
+        with pytest.raises(BundleError):
+            bundle.update(headers={"Bundle-SymbolicName": "a",
+                                   "Bundle-Version": "1.0.0"})
+        # Rejected before the bundle was stopped or changed.
+        assert bundle.state is BundleState.ACTIVE
+        assert bundle.symbolic_name == "c"
+        assert sorted((b.symbolic_name, str(b.version))
+                      for b in fw.get_bundles()) \
+            == [("a", "1.0.0"), ("c", "1.0.0")]
+        # Its own identity stays legal, and the freed one is reusable.
+        bundle.update(headers={"Bundle-SymbolicName": "c",
+                               "Bundle-Version": "1.0"})
+        bundle.update(headers={"Bundle-SymbolicName": "d"})
+        assert install(fw, "c").symbolic_name == "c"
 
     def test_update_swaps_resources(self, fw):
         bundle = fw.install_bundle({"Bundle-SymbolicName": "a"},
