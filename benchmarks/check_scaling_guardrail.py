@@ -5,50 +5,27 @@ Usage::
 
     python benchmarks/check_scaling_guardrail.py \
         BENCH_scaling_drcr.json benchmarks/baselines/BENCH_scaling_drcr.json
-    python benchmarks/check_scaling_guardrail.py \
-        BENCH_cluster.json benchmarks/baselines/BENCH_cluster.json
-    python benchmarks/check_scaling_guardrail.py \
-        BENCH_throughput.json benchmarks/baselines/BENCH_throughput.json
 
-Compares a fresh benchmark document against the committed baseline;
-the document's ``benchmark`` field picks the check set.
-Machine-independent shape ratios carry the regression signal:
+Compares a fresh benchmark document against the committed baseline of
+the same ``benchmark``.  The fresh document declares what to check in
+its ``guards`` map (``write_bench`` in ``benchmarks/conftest.py``),
+``{path: {better, cap?, floor?, ladder?}}``, and one loop checks each
+entry:
 
-* A3 (``scaling_drcr``): ``marginal_growth_per_fleet_growth`` (the
-  ~O(affected) promise), ``incremental_speedup_at_max`` (incremental
-  vs full sweep on the same machine/process), and the absolute
-  ``marginal_deploy_ms`` at the largest fleet when both runs used the
-  same ladder (CI baseline is recorded on the CI ladder, so this check
-  is live there).
-* C3 (``cluster``): ``max_failover_over_deadline`` (failover must stay
-  detection-dominated) and ``migration_latency_spread`` (moving one
-  component must not scale with the fleet) -- both simulated-time, so
-  any drift is a protocol change, not machine noise -- plus the
-  absolute ``migration_latency_ms`` at the largest fleet on matching
-  ladders.  The ``gossip`` section adds membership traffic shape:
-  ``growth_exponent`` is hard-capped below 2.0 (sub-quadratic, the
-  SWIM promise) and, with baseline, bounded relatively along with
-  ``nlogn_fit_ratio`` (the O(n log n) envelope) and the absolute
-  per-interval message count at the largest fleet on matching ladders.
-* Plan lint (``lint``): ``growth_exponent`` of a full six-family
-  ``lint_plan`` pass across the component ladder is hard-capped below
-  2.0 (the DRT6xx analyzers must stay sub-quadratic -- the PlanGuard
-  runs them on the deploy path) and, with baseline, bounded relatively
-  along with the absolute lint time at the largest plan on matching
-  ladders.
-* C6b (``contracts``): ``overhead_at_max`` (monitored vs bare run of
-  the identical fleet in one process) is hard-capped below 2x and,
-  with baseline, bounded relatively along with ``overhead_growth``
-  (the ratio must not itself grow with the fleet) and the absolute
-  monitored wall clock at the largest fleet on matching ladders.
-* Engine speed (``throughput``): ``run_vs_step_speedup`` (the sorted-run
-  drain against the legacy per-event API, measured in one process, so
-  machine-independent), ``fleet_overhead_growth`` (per-event overhead
-  across the fleet ladder), and the absolute events/s of every ladder
-  row -- each must stay within ``TOLERANCE`` of the committed baseline.
+* ``cap``: the value must not exceed it, even when the baseline lacks
+  the path;
+* ``ladder``: the named path (``fleet_sizes``, ``gossip.node_sizes``)
+  must be equal in both documents, else the relative check is skipped;
+* a path missing from the baseline skips the relative check;
+* the relative check, at ``TOLERANCE``: for ``better: lower``
+  ``value <= TOLERANCE * max(baseline, floor)``, for ``better: higher``
+  ``max(baseline, floor) / value <= TOLERANCE``.
 
-A metric regresses when it is more than ``TOLERANCE`` (2x) worse than
-the baseline.  Exit status 1 on any regression.
+A path is dotted keys, list indexes (``rows.-1.lint_ms``) and
+``field=value`` selectors (``rows.workload=drain.events_per_s``).
+Exit status 1 on any regression; 2 on unusable input: mismatched
+benchmarks, no guards, or a guarded path missing from the fresh
+document.
 """
 
 import json
@@ -62,193 +39,72 @@ def load(path):
         return json.load(handle)
 
 
-def check_drcr(current, baseline, check_at_most):
-    check_at_most(
-        "marginal_growth_per_fleet_growth",
-        current["marginal_growth_per_fleet_growth"],
-        TOLERANCE * baseline["marginal_growth_per_fleet_growth"])
-    # Speedup shrinking by >2x counts as the same class of regression.
-    check_at_most(
-        "1 / incremental_speedup_at_max",
-        1.0 / max(current["incremental_speedup_at_max"], 1e-9),
-        TOLERANCE / max(baseline["incremental_speedup_at_max"], 1e-9))
-    if current["fleet_sizes"] == baseline["fleet_sizes"]:
-        check_at_most(
-            "marginal_deploy_ms at max fleet",
-            current["rows"][-1]["marginal_deploy_ms"],
-            TOLERANCE * baseline["rows"][-1]["marginal_deploy_ms"])
-    else:
-        print("fleet ladders differ (%s vs %s): skipping the absolute "
-              "marginal-deploy comparison"
-              % (current["fleet_sizes"], baseline["fleet_sizes"]))
+def resolve(document, path):
+    """The value at ``path`` in ``document``, or None if absent."""
+    node = document
+    try:
+        for part in path.split("."):
+            if isinstance(node, list) and "=" in part:
+                field, value = part.split("=", 1)
+                node = next((item for item in node
+                             if isinstance(item, dict)
+                             and str(item.get(field)) == value), None)
+            elif isinstance(node, list):
+                node = node[int(part)]
+            else:
+                node = node[part]
+    except (LookupError, TypeError, ValueError):
+        return None
+    return node
 
 
-def check_cluster(current, baseline, check_at_most):
-    check_at_most(
-        "max_failover_over_deadline",
-        current["max_failover_over_deadline"],
-        TOLERANCE * baseline["max_failover_over_deadline"])
-    check_at_most(
-        "migration_latency_spread",
-        current["migration_latency_spread"],
-        TOLERANCE * baseline["migration_latency_spread"])
-    if current["fleet_sizes"] == baseline["fleet_sizes"]:
-        check_at_most(
-            "migration_latency_ms at max fleet",
-            current["rows"][-1]["migration_latency_ms"],
-            TOLERANCE * baseline["rows"][-1]["migration_latency_ms"])
-    else:
-        print("fleet ladders differ (%s vs %s): skipping the absolute "
-              "migration-latency comparison"
-              % (current["fleet_sizes"], baseline["fleet_sizes"]))
-    gossip = current.get("gossip")
-    if gossip is None:
-        print("no gossip section in the current document: skipping "
-              "the gossip traffic checks")
-        return
-    # Hard cap regardless of baseline: membership traffic going
-    # quadratic is exactly the regression the SWIM protocol exists to
-    # prevent (exponent ~1.0 when healthy, 2.0 for a full mesh).
-    check_at_most("gossip growth_exponent (hard cap)",
-                  gossip["growth_exponent"], 2.0)
-    reference = baseline.get("gossip")
-    if reference is None:
-        print("baseline has no gossip section: skipping the relative "
-              "gossip comparisons")
-        return
-    check_at_most(
-        "gossip growth_exponent",
-        gossip["growth_exponent"],
-        TOLERANCE * reference["growth_exponent"])
-    check_at_most(
-        "gossip nlogn_fit_ratio",
-        gossip["nlogn_fit_ratio"],
-        TOLERANCE * reference["nlogn_fit_ratio"])
-    if gossip["node_sizes"] == reference["node_sizes"]:
-        check_at_most(
-            "gossip messages_per_interval at max nodes",
-            gossip["rows"][-1]["messages_per_interval"],
-            TOLERANCE
-            * reference["rows"][-1]["messages_per_interval"])
-    else:
-        print("gossip ladders differ (%s vs %s): skipping the "
-              "absolute traffic comparison"
-              % (gossip["node_sizes"], reference["node_sizes"]))
-
-
-def check_throughput(current, baseline, check_at_most):
-    # A speedup ratio shrinking by >2x is the regression signal; both
-    # legs of each ratio come from the same process, so the comparison
-    # survives machine changes.
-    check_at_most(
-        "run_vs_step_speedup shrink factor",
-        baseline["run_vs_step_speedup"]
-        / max(current["run_vs_step_speedup"], 1e-9),
-        TOLERANCE)
-    check_at_most(
-        "fleet_overhead_growth",
-        current["fleet_overhead_growth"],
-        TOLERANCE * baseline["fleet_overhead_growth"])
-    baseline_rates = {row["workload"]: row["events_per_s"]
-                      for row in baseline["rows"]}
-    for row in current["rows"]:
-        reference = baseline_rates.get(row["workload"])
-        if reference is None:
-            print("no baseline row for workload %r: skipping"
-                  % row["workload"])
-            continue
-        # Rates are "bigger is better": bound the slowdown factor.
-        check_at_most(
-            "slowdown [%s]" % row["workload"],
-            reference / max(row["events_per_s"], 1e-9),
-            TOLERANCE)
-
-
-def check_lint(current, baseline, check_at_most):
-    # Hard cap regardless of baseline: the DRT6xx pass going
-    # quadratic is exactly what would make plan-gated deployment
-    # stop scaling.
-    check_at_most("plan lint growth_exponent (hard cap)",
-                  current["growth_exponent"], 2.0)
-    # Small ladders time noisily, so floor the relative reference:
-    # a healthy run sits around 1.0 (linear).
-    check_at_most(
-        "plan lint growth_exponent",
-        current["growth_exponent"],
-        TOLERANCE * max(baseline["growth_exponent"], 0.5))
-    if current["component_sizes"] == baseline["component_sizes"]:
-        check_at_most(
-            "plan lint_ms at max components",
-            current["rows"][-1]["lint_ms"],
-            TOLERANCE * baseline["rows"][-1]["lint_ms"])
-    else:
-        print("component ladders differ (%s vs %s): skipping the "
-              "absolute lint-time comparison"
-              % (current["component_sizes"],
-                 baseline["component_sizes"]))
-
-
-def check_contracts(current, baseline, check_at_most):
-    # Hard cap regardless of baseline: distribution checking that
-    # doubles the cost of simulation would never be left on in a real
-    # deployment (both legs of the ratio come from one process, so
-    # the cap is machine-independent).
-    check_at_most("monitor overhead_at_max (hard cap)",
-                  current["overhead_at_max"], 2.0)
-    # Ratios near 1.0 time noisily on small ladders: floor the
-    # relative references at the break-even ratio.
-    check_at_most(
-        "monitor overhead_at_max",
-        current["overhead_at_max"],
-        TOLERANCE * max(baseline["overhead_at_max"], 1.0))
-    check_at_most(
-        "monitor overhead_growth",
-        current["overhead_growth"],
-        TOLERANCE * max(baseline["overhead_growth"], 1.0))
-    if current["fleet_sizes"] == baseline["fleet_sizes"]:
-        check_at_most(
-            "monitored_s at max fleet",
-            current["rows"][-1]["monitored_s"],
-            TOLERANCE * baseline["rows"][-1]["monitored_s"])
-    else:
-        print("fleet ladders differ (%s vs %s): skipping the absolute "
-              "monitored-run comparison"
-              % (current["fleet_sizes"], baseline["fleet_sizes"]))
-
-
-CHECKS = {
-    "scaling_drcr": check_drcr,
-    "cluster": check_cluster,
-    "lint": check_lint,
-    "throughput": check_throughput,
-    "contracts": check_contracts,
-}
-
-
-def main(argv):
-    if len(argv) != 3:
-        print(__doc__)
-        return 2
-    current = load(argv[1])
-    baseline = load(argv[2])
-    kind = current.get("benchmark", "scaling_drcr")
-    if kind != baseline.get("benchmark", "scaling_drcr"):
+def check(current, baseline):
+    """Check ``current``'s guards against ``baseline``; returns the
+    exit status."""
+    kind = current.get("benchmark")
+    if kind != baseline.get("benchmark"):
         print("benchmark kinds differ: %r vs %r"
               % (kind, baseline.get("benchmark")))
         return 2
-    if kind not in CHECKS:
-        print("no guardrail for benchmark %r" % (kind,))
+    guards = current.get("guards")
+    if not guards:
+        print("no guards declared for benchmark %r" % (kind,))
         return 2
     failures = []
 
-    def check_at_most(label, value, limit):
-        verdict = "ok" if value <= limit else "REGRESSED"
-        print("%-42s %10.3f (limit %10.3f)  %s"
-              % (label, value, limit, verdict))
-        if value > limit:
+    def report(label, value, relation, bound, holds):
+        verdict = "ok" if holds else "REGRESSED"
+        print("%-48s %12.3f %s %12.3f  %s"
+              % (label, value, relation, bound, verdict))
+        if not holds:
             failures.append(label)
 
-    CHECKS[kind](current, baseline, check_at_most)
+    for path, guard in guards.items():
+        ladder = guard.get("ladder")
+        value = resolve(current, path)
+        steps = resolve(current, ladder) if ladder else None
+        if value is None or (ladder and steps is None):
+            print("the document lacks guarded path %s"
+                  % (path if value is None else ladder))
+            return 2
+        if "cap" in guard:
+            report(path + " cap", value, "<=", guard["cap"],
+                   value <= guard["cap"])
+        if ladder and steps != resolve(baseline, ladder):
+            print("%s differs (%s vs %s): skipping %s"
+                  % (ladder, steps, resolve(baseline, ladder), path))
+            continue
+        reference = resolve(baseline, path)
+        if reference is None:
+            print("baseline lacks %s: skipping" % path)
+            continue
+        reference = max(reference, guard.get("floor", reference))
+        if guard.get("better") == "higher":
+            report(path, value, ">=", reference / TOLERANCE,
+                   reference / max(value, 1e-9) <= TOLERANCE)
+        else:
+            report(path, value, "<=", TOLERANCE * reference,
+                   value <= TOLERANCE * reference)
 
     if failures:
         print("guardrail FAILED: %s regressed more than %.0fx vs the "
@@ -256,6 +112,13 @@ def main(argv):
         return 1
     print("guardrail passed")
     return 0
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__)
+        return 2
+    return check(load(argv[1]), load(argv[2]))
 
 
 if __name__ == "__main__":

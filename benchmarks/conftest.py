@@ -4,7 +4,20 @@ Every benchmark regenerates one artifact of the paper's evaluation
 (see DESIGN.md, "Experiment index") and asserts the *shape* of the
 result -- who wins, by what rough factor, where the crossovers are --
 rather than absolute numbers.
+
+The scaling ladders share four more helpers: :func:`ladder` reads a
+ladder override from the environment, :func:`best_of` keeps the best
+of repeated timed runs, :func:`growth_exponent` fits the log-log slope
+between two rungs, and :func:`write_bench` writes the ``BENCH_*.json``
+document together with the guards ``check_scaling_guardrail.py``
+enforces against the committed baseline (docs/PERFORMANCE.md,
+"Guardrails and re-baselining").
 """
+
+import json
+import math
+import os
+from pathlib import Path
 
 from repro.platform import build_platform
 from repro.rtos.kernel import KernelConfig
@@ -77,3 +90,60 @@ def run_once(benchmark, fn):
     nothing but wall-clock time; one round measures the cost honestly.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+#: Where every ladder writes its ``BENCH_<benchmark>.json``.
+RESULT_DIR = Path(__file__).resolve().parent.parent
+
+
+def ladder(variable, default):
+    """The sizes in environment variable ``variable`` (``10,40,80``),
+    else ``default``."""
+    override = os.environ.get(variable)
+    if not override:
+        return default
+    return tuple(int(part) for part in override.split(",") if part)
+
+
+def best_of(repeats, run, key):
+    """Call ``run()`` ``repeats`` times; return the result ``key``
+    ranks highest (the earliest one on ties).  The other runs absorb
+    allocator and cache warmup noise."""
+    best = None
+    for _ in range(repeats):
+        result = run()
+        if best is None or key(result) > key(best):
+            best = result
+    return best
+
+
+def growth_exponent(small, large, small_size, large_size):
+    """Log-log slope of a cost between two ladder rungs: ~1.0 is
+    linear, 2.0 quadratic."""
+    return (math.log(max(large, 1e-9) / max(small, 1e-9))
+            / math.log(large_size / small_size))
+
+
+def write_bench(document, guards):
+    """Write ``document`` to ``BENCH_<document["benchmark"]>.json`` at
+    the repository root, declaring ``guards`` for the guardrail.
+
+    ``guards`` maps a metric path to ``{"better": "higher"}`` and/or
+    ``cap``, ``floor`` and ``ladder`` (see
+    ``check_scaling_guardrail.py``); ``better`` defaults to
+    ``"lower"``.  A document of the same benchmark already on disk is
+    merged into, guards included, so tests that each fill one section
+    of a shared document do not clobber each other.
+    """
+    path = RESULT_DIR / ("BENCH_%s.json" % document["benchmark"])
+    try:
+        previous = json.loads(path.read_text())
+    except (OSError, ValueError):
+        previous = {}
+    if previous.get("benchmark") != document["benchmark"]:
+        previous = {}
+    declared = {**previous.get("guards", {}),
+                **{metric: {"better": "lower", **spec}
+                   for metric, spec in guards.items()}}
+    merged = {**previous, **document, "guards": declared}
+    path.write_text(json.dumps(merged, indent=2) + "\n")

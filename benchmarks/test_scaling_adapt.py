@@ -24,13 +24,11 @@ a live epoch with the largest rule set stays under 50 ms of wall
 clock -- an epoch that costs more than it simulates could never run
 in real time.  Both growth ratios compare two rows timed in one
 process, so they do not depend on the machine.  Rows land in
-``BENCH_scaling_adapt.json``.
+``BENCH_scaling_adapt.json``, which ``check_scaling_guardrail.py``
+compares against the committed baseline.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -39,22 +37,22 @@ from repro.adapt.evaluator import RuleEvaluator
 from repro.adapt.rules import parse_rule_document
 from repro.sim.engine import MSEC
 
-from conftest import quiet_platform, run_once
+from conftest import ladder, quiet_platform, run_once, write_bench
 
 DEFAULT_RULE_COUNTS = (10, 50, 200, 500)
 EPOCHS = 200
 SILENT_REPEATS = 3
 PARAMS = ("deadline_miss_rate", "releases", "overruns",
           "dispatch_latency_p99", "rt_utilization", "active_components")
-RESULT_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_scaling_adapt.json"
-
-
-def rule_counts():
-    override = os.environ.get("C5_RULE_COUNTS")
-    if not override:
-        return DEFAULT_RULE_COUNTS
-    return tuple(int(part) for part in override.split(",") if part)
+# Growth ratios near 1.0 time noisily on small ladders, so their
+# relative references are floored at flat.
+GUARDS = {
+    # Evaluation stays roughly linear in the rule count.
+    "cost_growth": {"floor": 1.0},
+    # A quiet epoch stays one bisect per (key, op) bucket.
+    "silent_growth": {"floor": 1.0},
+    "rows.-1.silent_epoch_us": {"ladder": "rule_counts"},
+}
 
 
 def make_rules(count):
@@ -155,7 +153,7 @@ def measure_live_step(count):
 
 @pytest.mark.benchmark(group="scaling")
 def test_adapt_scaling(benchmark):
-    counts = rule_counts()
+    counts = ladder("C5_RULE_COUNTS", DEFAULT_RULE_COUNTS)
 
     def experiment():
         rows = [measure_evaluator(count) for count in counts]
@@ -195,7 +193,7 @@ def test_adapt_scaling(benchmark):
         "cost_growth": cost_growth,
         "silent_growth": silent_growth,
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
+    write_bench(document, GUARDS)
     benchmark.extra_info["rows"] = rows
 
     # The damped rule mix actually exercised every code path.

@@ -29,10 +29,7 @@ envelope.  Both tests merge their sections into ``BENCH_cluster.json``
 for the guardrail in ``benchmarks/check_scaling_guardrail.py``.
 """
 
-import json
 import math
-import os
-from pathlib import Path
 
 import pytest
 
@@ -40,29 +37,32 @@ from repro.cluster import Cluster
 from repro.core import ComponentState
 from repro.sim.engine import MSEC
 
-from conftest import make_descriptor_xml, run_once
+import conftest
+from conftest import ladder, make_descriptor_xml, run_once, write_bench
 
 DEFAULT_FLEET_SIZES = (8, 16, 32, 64)
 DEFAULT_GOSSIP_SIZES = (64, 128, 256)
 HEARTBEAT_INTERVAL_NS = 10 * MSEC
 MISS_LIMIT = 3
-RESULT_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_cluster.json"
-
-
-def _sizes_from_env(variable, default):
-    override = os.environ.get(variable)
-    if not override:
-        return default
-    return tuple(int(part) for part in override.split(",") if part)
-
-
-def fleet_sizes():
-    return _sizes_from_env("C3_FLEET_SIZES", DEFAULT_FLEET_SIZES)
-
-
-def gossip_sizes():
-    return _sizes_from_env("C3_GOSSIP_SIZES", DEFAULT_GOSSIP_SIZES)
+# Both simulated-time ratios, so any drift is a protocol change, not
+# machine noise.
+FAILOVER_GUARDS = {
+    # Failover must stay detection-dominated.
+    "max_failover_over_deadline": {},
+    # Moving one component must not scale with the fleet.
+    "migration_latency_spread": {},
+    "rows.-1.migration_latency_ms": {"ladder": "fleet_sizes"},
+}
+GOSSIP_GUARDS = {
+    # Hard cap regardless of baseline: membership traffic going
+    # quadratic is exactly the regression the SWIM protocol exists to
+    # prevent (exponent ~1.0 when healthy, 2.0 for a full mesh).
+    "gossip.growth_exponent": {"cap": 2.0},
+    # The O(n log n) envelope.
+    "gossip.nlogn_fit_ratio": {},
+    "gossip.rows.-1.messages_per_interval":
+        {"ladder": "gossip.node_sizes"},
+}
 
 
 def measure_fleet(size):
@@ -108,27 +108,9 @@ def measure_fleet(size):
         cluster.shutdown()
 
 
-def write_results(section):
-    """Merge one test's section into the shared BENCH_cluster.json.
-
-    The failover and gossip tests run independently (and either may be
-    skipped via its ladder env var), so each merges its keys instead of
-    clobbering the other's."""
-    document = {"benchmark": "cluster"}
-    if RESULT_PATH.exists():
-        try:
-            previous = json.loads(RESULT_PATH.read_text())
-        except ValueError:
-            previous = {}
-        if previous.get("benchmark") == "cluster":
-            document.update(previous)
-    document.update(section)
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-
-
 @pytest.mark.benchmark(group="scaling")
 def test_cluster_scaling(benchmark):
-    sizes = fleet_sizes()
+    sizes = ladder("C3_FLEET_SIZES", DEFAULT_FLEET_SIZES)
     rows = run_once(benchmark,
                     lambda: [measure_fleet(size) for size in sizes])
 
@@ -156,7 +138,7 @@ def test_cluster_scaling(benchmark):
         "max_failover_over_deadline":
             max(row["failover_time_ms"] for row in rows) / deadline_ms,
     }
-    write_results(document)
+    write_bench(document, FAILOVER_GUARDS)
     benchmark.extra_info["rows"] = rows
 
     for row in rows:
@@ -217,7 +199,7 @@ def measure_gossip(nodes):
 
 @pytest.mark.benchmark(group="scaling")
 def test_gossip_scaling(benchmark):
-    sizes = gossip_sizes()
+    sizes = ladder("C3_GOSSIP_SIZES", DEFAULT_GOSSIP_SIZES)
     rows = run_once(benchmark,
                     lambda: [measure_gossip(size) for size in sizes])
 
@@ -231,10 +213,9 @@ def test_gossip_scaling(benchmark):
                  row["detection_ms"]))
 
     small, large = rows[0], rows[-1]
-    growth_exponent = (
-        math.log(large["messages_per_interval"]
-                 / small["messages_per_interval"])
-        / math.log(large["nodes"] / small["nodes"]))
+    growth_exponent = conftest.growth_exponent(
+        small["messages_per_interval"], large["messages_per_interval"],
+        small["nodes"], large["nodes"])
     # Rate divided by n*log2(n) is ~flat when growth is within the
     # O(n log n) envelope; the ladder-ends ratio of that quotient is
     # the machine-independent fit signal (1.0 = perfect fit, ~n ratio
@@ -245,14 +226,15 @@ def test_gossip_scaling(benchmark):
             / (row["nodes"] * math.log2(row["nodes"]))
 
     nlogn_fit_ratio = nlogn_quotient(large) / nlogn_quotient(small)
-    write_results({
+    write_bench({
+        "benchmark": "cluster",
         "gossip": {
             "node_sizes": list(sizes),
             "rows": rows,
             "growth_exponent": growth_exponent,
             "nlogn_fit_ratio": nlogn_fit_ratio,
         },
-    })
+    }, GOSSIP_GUARDS)
     benchmark.extra_info["gossip_rows"] = rows
 
     # Sub-quadratic by a wide margin: the old full mesh had exponent

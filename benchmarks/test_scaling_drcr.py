@@ -24,29 +24,28 @@ registry lookup stays under a millisecond.  The measured rows land in
 committed baseline).
 """
 
-import json
-import os
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.core import MANAGEMENT_SERVICE_INTERFACE, ComponentState
-from conftest import deploy, make_descriptor_xml, quiet_platform, run_once
+from conftest import (deploy, ladder, make_descriptor_xml,
+                      quiet_platform, run_once, write_bench)
 
 DEFAULT_FLEET_SIZES = (10, 50, 100, 200)
 #: Marginal-deploy probes per fleet (median reported).
 MARGINAL_PROBES = 5
-RESULT_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_scaling_drcr.json"
-
-
-def fleet_sizes():
-    override = os.environ.get("A3_FLEET_SIZES")
-    if not override:
-        return DEFAULT_FLEET_SIZES
-    return tuple(int(part) for part in override.split(",") if part)
+GUARDS = {
+    # The ~O(affected) promise.
+    "marginal_growth_per_fleet_growth": {},
+    # Incremental vs full sweep on the same machine in one process: a
+    # speedup shrinking by >2x is the same class of regression.
+    "incremental_speedup_at_max": {"better": "higher"},
+    # Absolute, on matching ladders (the baseline is recorded on the
+    # CI ladder, so this check is live there).
+    "rows.-1.marginal_deploy_ms": {"ladder": "fleet_sizes"},
+}
 
 
 def build_fleet(platform, size):
@@ -131,13 +130,9 @@ def measure_fleet(size, incremental=True):
     }
 
 
-def write_results(document):
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-
-
 @pytest.mark.benchmark(group="scaling")
 def test_drcr_scaling(benchmark):
-    sizes = fleet_sizes()
+    sizes = ladder("A3_FLEET_SIZES", DEFAULT_FLEET_SIZES)
 
     def experiment():
         rows = [measure_fleet(size) for size in sizes]
@@ -180,7 +175,7 @@ def test_drcr_scaling(benchmark):
             marginal_growth / fleet_growth,
         "incremental_speedup_at_max": speedup,
     }
-    write_results(document)
+    write_bench(document, GUARDS)
     benchmark.extra_info["rows"] = rows
     benchmark.extra_info["full_sweep_row"] = full_row
 

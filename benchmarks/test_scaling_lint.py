@@ -19,11 +19,7 @@ same plan linted again with the memo warm, as the ``PlanGuard`` sees
 an unchanged fleet.
 """
 
-import json
-import math
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -32,19 +28,19 @@ from repro.core.ports import PortDirection, PortSpec
 from repro.lint import lint_plan, memo
 from repro.rtos.task import TaskType
 
-from conftest import run_once
+import conftest
+from conftest import best_of, ladder, run_once, write_bench
 
 DEFAULT_PLAN_SIZES = (16, 64, 256)
 REPEATS = 3
-RESULT_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_lint.json"
-
-
-def plan_sizes():
-    override = os.environ.get("LINT_PLAN_SIZES")
-    if not override:
-        return DEFAULT_PLAN_SIZES
-    return tuple(int(part) for part in override.split(",") if part)
+GUARDS = {
+    # Hard cap regardless of baseline: the DRT6xx pass going
+    # quadratic is exactly what would make plan-gated deployment stop
+    # scaling.  Small ladders time noisily, so the relative reference
+    # is floored: a healthy run sits around 1.0 (linear).
+    "growth_exponent": {"cap": 2.0, "floor": 0.5},
+    "rows.-1.lint_ms": {"ladder": "component_sizes"},
+}
 
 
 def build_plan(count):
@@ -115,17 +111,19 @@ def best_lint(plan, cold):
     """Best-of-``REPEATS`` seconds of one ``lint_plan`` pass, and the
     last pass's diagnostic count; ``cold`` clears the lint memo
     before every pass."""
-    best = None
-    diagnostics = 0
-    for _ in range(REPEATS):
+    counts = []
+
+    def lint_once():
         if cold:
             memo.clear()
         start = time.perf_counter()
         result = lint_plan(plan)
         elapsed = time.perf_counter() - start
-        diagnostics = len(result.diagnostics)
-        best = elapsed if best is None else min(best, elapsed)
-    return best, diagnostics
+        counts.append(len(result.diagnostics))
+        return elapsed
+
+    best = best_of(REPEATS, lint_once, key=lambda elapsed: -elapsed)
+    return best, counts[-1]
 
 
 def measure(count):
@@ -144,7 +142,7 @@ def measure(count):
 
 @pytest.mark.benchmark(group="scaling")
 def test_lint_scaling(benchmark):
-    sizes = plan_sizes()
+    sizes = ladder("LINT_PLAN_SIZES", DEFAULT_PLAN_SIZES)
 
     def experiment():
         return [measure(count) for count in sizes]
@@ -160,10 +158,9 @@ def test_lint_scaling(benchmark):
                  row["lint_warm_ms"], row["diagnostics"]))
 
     small, large = rows[0], rows[-1]
-    growth_exponent = (
-        math.log(max(large["lint_ms"], 1e-9)
-                 / max(small["lint_ms"], 1e-9))
-        / math.log(large["components"] / small["components"]))
+    growth_exponent = conftest.growth_exponent(
+        small["lint_ms"], large["lint_ms"],
+        small["components"], large["components"])
     print("growth exponent %.2f over %d -> %d components"
           % (growth_exponent, small["components"],
              large["components"]))
@@ -174,7 +171,7 @@ def test_lint_scaling(benchmark):
         "rows": rows,
         "growth_exponent": growth_exponent,
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
+    write_bench(document, GUARDS)
     benchmark.extra_info["rows"] = rows
 
     # The synthetic plans are defect-free: any finding is a bug in

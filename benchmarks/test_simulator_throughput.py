@@ -25,9 +25,7 @@ and ``check_scaling_guardrail.py`` compares it against the committed
 baseline so the overhaul can never silently regress.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -38,6 +36,8 @@ from repro.rtos.task import TaskType
 from repro.sim.engine import MSEC, SEC, Simulator
 from repro.telemetry.metrics import Telemetry
 
+from conftest import best_of, run_once, write_bench
+
 TASK_COUNTS = (1, 10, 50)
 WINDOW = 2 * SEC
 DRAIN_EVENTS = 200_000
@@ -47,8 +47,15 @@ RAW_WINDOW = 6 * MSEC  # 64 chains x 6000 one-us steps = 384k events
 #: others absorb allocator and cache warmup noise).
 REPEATS = 3
 
-RESULT_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_throughput.json"
+# Both legs of each ratio come from one process, so the ratio
+# comparisons survive machine changes.  The test adds the absolute
+# events/s of every row that ran.
+GUARDS = {
+    # The sorted-run drain against the legacy per-event API.
+    "run_vs_step_speedup": {"better": "higher"},
+    # Per-event overhead across the fleet ladder.
+    "fleet_overhead_growth": {},
+}
 
 #: Pre-overhaul (seed, commit 975549e) rates in events/s, measured on
 #: the machine that produced ``benchmarks/baselines/``, best of three.
@@ -68,14 +75,9 @@ SEED_RATES = {
 }
 
 
-def _best(run_once):
+def _best(run):
     """Run a workload REPEATS times; return the best-rate row."""
-    best = None
-    for _ in range(REPEATS):
-        row = run_once()
-        if best is None or row["events_per_s"] > best["events_per_s"]:
-            best = row
-    return best
+    return best_of(REPEATS, run, key=lambda row: row["events_per_s"])
 
 
 def run_population(count, telemetry_enabled=True):
@@ -187,8 +189,7 @@ def run_ladder():
 
 @pytest.mark.benchmark(group="simulator")
 def test_simulator_throughput_ladder(benchmark):
-    rows, summary = benchmark.pedantic(run_ladder, rounds=1,
-                                       iterations=1)
+    rows, summary = run_once(benchmark, run_ladder)
 
     print("\nsimulator throughput ladder:")
     print("%-24s %10s %9s %14s" % ("workload", "events", "wall[s]",
@@ -210,8 +211,10 @@ def test_simulator_throughput_ladder(benchmark):
         "seed_rates": SEED_RATES,
         **summary,
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2,
-                                      sort_keys=True) + "\n")
+    write_bench(document, {
+        **GUARDS,
+        **{"rows.workload=%s.events_per_s" % row["workload"]:
+           {"better": "higher"} for row in rows}})
     benchmark.extra_info["summary"] = summary
 
     rates = {row["workload"]: row["events_per_s"] for row in rows}

@@ -85,6 +85,13 @@ def _positive_int(text):
     return value
 
 
+def _unusable(error):
+    """Report unusable input or an unwritable output path; returns
+    exit status 2."""
+    sys.stderr.write("python -m repro: %s\n" % (error,))
+    return 2
+
+
 def _parse_args(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -120,13 +127,20 @@ def main(argv=None):
         from repro.experiments import main as experiment_main
         return experiment_main(argv[0], argv[1:])
     args = _parse_args(argv)
+    plan = None
+    if args.faults is not None:
+        from repro.faults import load_plan
+        try:
+            plan = load_plan(args.faults)
+        except (OSError, ValueError) as error:
+            return _unusable("--faults %s: %s" % (args.faults, error))
     telemetry = Telemetry(enabled=not args.no_telemetry)
     platform = build_platform(seed=2008, telemetry=telemetry)
     platform.start_timer(1 * MSEC)
     engine = None
-    if args.faults is not None:
-        from repro.faults import FaultEngine, load_plan
-        engine = FaultEngine(platform, load_plan(args.faults)).arm()
+    if plan is not None:
+        from repro.faults import FaultEngine
+        engine = FaultEngine(platform, plan).arm()
     for name, xml in (("demo.calc", CALC_XML), ("demo.disp", DISP_XML)):
         platform.install_and_start(
             {"Bundle-SymbolicName": name,
@@ -150,14 +164,19 @@ def main(argv=None):
               "min=%d max=%d over %d jobs"
               % (summary["average"], summary["avedev"], summary["min"],
                  summary["max"], summary["count"]))
-    if args.trace:
-        document = platform.export_trace(args.trace)
-        print("wrote Chrome trace (%d events) to %s"
-              % (len(document["traceEvents"]), args.trace))
-    if args.metrics:
-        platform.export_metrics(args.metrics)
-        print("wrote metrics to %s" % args.metrics)
-    platform.shutdown()
+    try:
+        if args.trace:
+            document = platform.export_trace(args.trace)
+            print("wrote Chrome trace (%d events) to %s"
+                  % (len(document["traceEvents"]), args.trace))
+        if args.metrics:
+            platform.export_metrics(args.metrics)
+            print("wrote metrics to %s" % args.metrics)
+    except OSError as error:
+        return _unusable(error)
+    finally:
+        platform.shutdown()
+    return 0
 
 
 if __name__ == "__main__":

@@ -69,23 +69,34 @@ def _parse_args(argv):
         parser.error("--nodes must be >= 2 (a federation)")
     if args.components < 1:
         parser.error("--components must be >= 1")
+    if args.seconds < 1:
+        parser.error("--seconds must be >= 1")
     return args
+
+
+def _unusable(error):
+    """Report unusable input or an unwritable output path; returns
+    exit status 2."""
+    sys.stderr.write("python -m repro cluster: %s\n" % (error,))
+    return 2
 
 
 def main(argv=None):
     """Run the demo; returns a process exit code."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    link = LinkSpec(latency_ns=args.latency_us * USEC,
-                    jitter_ns=args.jitter_us * USEC,
-                    drop_probability=args.drop)
-    cluster = Cluster(
-        node_names=tuple("node%d" % i for i in range(args.nodes)),
-        seed=args.seed, link=link,
-        heartbeat_interval_ns=args.heartbeat_ms * MSEC)
-    rng = RandomStreams(args.seed)
-    descriptors = generate_component_set(
-        rng, "cl", args.components,
-        total_utilization=args.utilization)
+    try:
+        link = LinkSpec(latency_ns=args.latency_us * USEC,
+                        jitter_ns=args.jitter_us * USEC,
+                        drop_probability=args.drop)
+        descriptors = generate_component_set(
+            RandomStreams(args.seed), "cl", args.components,
+            total_utilization=args.utilization)
+        cluster = Cluster(
+            node_names=tuple("node%d" % i for i in range(args.nodes)),
+            seed=args.seed, link=link,
+            heartbeat_interval_ns=args.heartbeat_ms * MSEC)
+    except ValueError as error:
+        return _unusable(error)
     print("== deploy: %d components over %d nodes =="
           % (len(descriptors), args.nodes))
     for descriptor in descriptors:
@@ -132,15 +143,19 @@ def main(argv=None):
         instrument = metrics.get(name)
         if instrument is not None:
             print("  %-28s %d" % (name, instrument.value))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print("wrote fleet report to %s" % args.json)
-    if args.export_plan:
-        with open(args.export_plan, "w") as handle:
-            json.dump(cluster.export_plan(), handle, indent=2)
-        print("wrote deployment plan to %s" % args.export_plan)
-    cluster.shutdown()
+    try:
+        if args.json:
+            with open(args.json, "w") as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+            print("wrote fleet report to %s" % args.json)
+        if args.export_plan:
+            with open(args.export_plan, "w") as handle:
+                json.dump(cluster.export_plan(), handle, indent=2)
+            print("wrote deployment plan to %s" % args.export_plan)
+    except OSError as error:
+        return _unusable(error)
+    finally:
+        cluster.shutdown()
     return 0
 
 

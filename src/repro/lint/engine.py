@@ -26,7 +26,10 @@ Unit model
 * every remaining ``.json`` file that is an adaptation *rule file* (a
   JSON object with a top-level ``rules`` list, docs/ADAPTATION.md) is
   its own unit and runs through the DRT5xx checks; other JSON files
-  (fault plans, benchmark baselines) pass through unexamined.
+  (fault plans, benchmark baselines) pass through unexamined;
+* a ``.json`` file that does not parse is one source with one
+  "invalid JSON" error: DRT600 when the deployment family runs, else
+  DRT500 when the rules family does.
 
 Paths reachable more than once in one invocation (a file named
 directly and again under a directory argument, a symlink, a duplicate
@@ -35,6 +38,7 @@ argument) are deduplicated by real path, so no source is ever linted
 """
 
 import ast
+import json
 import os
 import re
 
@@ -276,6 +280,14 @@ def extract_descriptor_literals(source):
     return literals
 
 
+def _parses(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
 def lint_paths(paths, families=FAMILIES, telemetry=None):
     """Lint files and directories; returns a :class:`LintResult`.
 
@@ -298,13 +310,17 @@ def lint_paths(paths, families=FAMILIES, telemetry=None):
             sources += 1
             continue
         if path.endswith(".json"):
-            if deployment.looks_like_plan_file(text):
+            # Neither sniffer recognises a file that does not parse;
+            # it is a finding (DRT600, else DRT500), never skipped.
+            broken = not _parses(text)
+            if deployment.looks_like_plan_file(text) or (
+                    broken and "deployment" in families):
                 plan_diagnostics, plan_units, plan_sources = \
                     deployment.lint_plan_source(text, path, families)
                 diagnostics.extend(plan_diagnostics)
                 units += plan_units
                 sources += plan_sources
-            elif adaptrules.looks_like_rule_file(text):
+            elif adaptrules.looks_like_rule_file(text) or broken:
                 if "rules" in families:
                     diagnostics.extend(
                         adaptrules.check_rule_source(text, path))

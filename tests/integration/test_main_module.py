@@ -1,7 +1,14 @@
-"""The ``python -m repro`` demo must run and print the report."""
+"""The ``python -m repro`` demo must run and print the report, and
+the demo and ``cluster`` CLIs must reject unusable input with exit
+status 2 and a one-line diagnostic, never a traceback or an empty
+run."""
 
+import os
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 
 def test_python_dash_m_repro():
@@ -14,3 +21,37 @@ def test_python_dash_m_repro():
     assert "scheduling latency" in result.stdout
     # The pipeline resolved: the display lists its provider.
     assert "DISP00" in result.stdout
+
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("args", [
+    ["--faults", "missing.json"],
+    ["--faults", "broken.json"],
+    ["--faults", "nameless.json"],
+    ["--trace", "no-such-dir/t.json"],
+    ["--metrics", "no-such-dir/m.json"],
+    ["cluster", "--seconds", "0"],
+    ["cluster", "--seconds", "-1"],
+    ["cluster", "--utilization", "0"],
+    ["cluster", "--drop", "2"],
+    ["cluster", "--json", "no-such-dir/r.json"],
+    ["cluster", "--export-plan", "no-such-dir/p.json"],
+], ids=["faults-missing", "faults-invalid-json", "faults-invalid-plan",
+        "trace-unwritable", "metrics-unwritable", "cluster-seconds-0",
+        "cluster-seconds-negative", "cluster-utilization-0",
+        "cluster-drop-2", "cluster-json-unwritable",
+        "cluster-export-plan-unwritable"])
+def test_bad_input_exits_2_without_traceback(args, tmp_path):
+    (tmp_path / "broken.json").write_text('{"name": "x", "faults": [')
+    (tmp_path / "nameless.json").write_text('{"faults": []}')
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *args], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, (result.returncode, result.stderr)
+    assert "Traceback" not in result.stderr, result.stderr
+    prog = "python -m repro cluster" if args[0] == "cluster" \
+        else "python -m repro"
+    assert prog + ":" in result.stderr, result.stderr

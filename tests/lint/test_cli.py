@@ -125,6 +125,26 @@ class TestExitCodes:
                      "--fail-on", "warning"]) == 1
         assert "DRT604" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("families, code", [
+        ([], "DRT600"),
+        (["--family", "DRT5"], "DRT500"),
+    ], ids=["default-families", "rules-family"])
+    def test_unparseable_json_is_an_error_not_skipped(
+            self, tmp_path, capsys, families, code):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"plan_version": 1, "nodes": [')
+        assert main([str(broken), *families]) == 1
+        out = capsys.readouterr().out
+        assert "[%s] ERROR: invalid JSON" % code in out
+        assert "1 diagnostic(s) (1 error" in out
+        assert "1 source(s)" in out
+
+    def test_valid_json_of_no_known_kind_stays_unexamined(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "metrics.json").write_text('{"counters": {}}')
+        assert main([str(tmp_path / "metrics.json")]) == 0
+        assert "0 diagnostic(s)" in capsys.readouterr().out
+
 
 class TestListCodes:
     def test_lists_every_code_and_exits_zero(self, capsys):
