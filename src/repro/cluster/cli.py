@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from repro.cluster.federation import Cluster
+from repro.cluster.federation import Cluster, ClusterError
 from repro.cluster.transport import LinkSpec
 from repro.sim.engine import MSEC, SEC, USEC
 from repro.sim.rng import RandomStreams
@@ -99,15 +99,21 @@ def main(argv=None):
         return _unusable(error)
     print("== deploy: %d components over %d nodes =="
           % (len(descriptors), args.nodes))
-    for descriptor in descriptors:
-        node = cluster.deploy(descriptor.to_xml())
-        print("  %-8s -> %s" % (descriptor.name, node))
-    third = args.seconds * SEC // 3
-    cluster.run_for(third)
+    try:
+        for descriptor in descriptors:
+            node = cluster.deploy(descriptor.to_xml())
+            print("  %-8s -> %s" % (descriptor.name, node))
+        third = args.seconds * SEC // 3
+        cluster.run_for(third)
 
-    victim_component = descriptors[0].name
-    src = cluster.deployments[victim_component]
-    migration_id = cluster.migrate(victim_component)
+        victim_component = descriptors[0].name
+        src = cluster.deployments[victim_component]
+        migration_id = cluster.migrate(victim_component)
+    except ClusterError as error:
+        # No node fits a component, or no other node fits the
+        # migrating one: the fleet is too small for the workload.
+        cluster.shutdown()
+        return _unusable(error)
     cluster.run_for(third)
     migration = cluster.migration(migration_id)
     print("== migrate: %s %s -> %s (%s, %d attempt(s)) =="

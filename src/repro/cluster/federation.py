@@ -12,13 +12,15 @@ and a rotating anti-entropy sweep recovers lost digests -- full
 snapshots never ride the n² heartbeat mesh anymore).
 
 The coordinator is itself a transport endpoint (``control``): every
-deployment, migration and §2.4 management call it issues is a message
-subject to the same link model as node-to-node traffic, and the
-replies (`deploy_ack`, `migrate_ack`, `mgmt_reply`, ...) come back the
-same way.  It is intentionally a *centralised* management plane -- the
-paper's runtime has exactly one management interface per platform, and
-this lifts that shape to fleet scope without inventing a consensus
-protocol the paper does not have.
+deployment (one ``deploy`` message, one component or a whole
+application), migration and §2.4 management call it issues is a
+message subject to the same link model as node-to-node traffic, and
+the replies (`deploy_ack`, `migrate_ack`, `mgmt_reply`, ...) come back
+the same way; a §2.4 request that reaches a node the component has
+just left follows it to its new home.  It is intentionally a
+*centralised* management plane -- the paper's runtime has exactly one
+management interface per platform, and this lifts that shape to fleet
+scope without inventing a consensus protocol the paper does not have.
 
 Migration (snapshot-based, at-most-once wire + coordinator retries):
 
@@ -38,10 +40,11 @@ Migration (snapshot-based, at-most-once wire + coordinator retries):
 Failover: when membership declares a node dead, every component from
 the dead node's last replica is re-planned across the survivors by the
 :class:`~repro.cluster.placement.ClusterPlacementService` and
-re-deployed **in one ``drcr.batch()`` round per target**
-(:func:`repro.core.snapshot.restore_entries`), so each survivor runs a
-single coalesced reconfiguration.  Application groupings are re-declared
-through the public :meth:`~repro.core.drcr.DRCR.define_application`.
+re-deployed **in one ``drcr.batch()`` round per target** through the
+target's ``deploy_entries`` -- the one landing path deploys and
+migrations also take -- so each survivor runs a single coalesced
+reconfiguration.  Application groupings are re-declared through the
+public :meth:`~repro.core.drcr.DRCR.define_application`.
 """
 
 import itertools
@@ -54,7 +57,6 @@ from repro.cluster.transport import MessageTransport
 from repro.core.descriptor import ComponentDescriptor
 from repro.core.lifecycle import ComponentState
 from repro.core.placement import co_location_groups
-from repro.core.snapshot import restore_entries
 from repro.faults.recovery import BackoffPolicy
 from repro.lint.diagnostics import Severity
 from repro.rtos.kernel import KernelConfig
@@ -75,6 +77,18 @@ FAILOVER_DETECT_BOUNDS_NS = (
 #: Entry outcomes that mean "the target now owns the component".
 _PLACED_OUTCOMES = frozenset(
     ("restored", "suspended", "disabled", "unsatisfied"))
+
+
+def _usage(entry):
+    """Declared CPU claim of one catalog or snapshot entry."""
+    return ComponentDescriptor.from_xml(
+        entry["descriptor_xml"]).contract.cpu_usage
+
+
+def _placed(report):
+    """Names a restore report left owned by the node that ran it."""
+    return [name for outcome in _PLACED_OUTCOMES
+            for name in report[outcome]]
 
 
 class ClusterError(Exception):
@@ -193,7 +207,7 @@ class _Migration:
     """Coordinator-side state of one in-flight migration."""
 
     __slots__ = ("id", "name", "src", "dst", "entry", "initiated_ns",
-                 "completed_ns", "attempts", "done", "outcome")
+                 "completed_ns", "attempts", "done", "outcome", "held")
 
     def __init__(self, migration_id, name, src, dst, initiated_ns):
         self.id = migration_id
@@ -206,6 +220,7 @@ class _Migration:
         self.attempts = 0
         self.done = False
         self.outcome = None
+        self.held = []          # "moved" mgmt replies from src
 
 
 class Cluster:
@@ -259,6 +274,7 @@ class Cluster:
         self.catalog = {}       # component name -> last known entry
         self.failovers = []     # completed failover reports
         self.mgmt_replies = {}  # request id -> mgmt_reply payload
+        self._requests = {}     # unanswered request id -> mgmt payload
         self._replicas = {}     # node name -> last pulled snapshot
         self._replica_versions = {}  # node name -> pulled version
         self._tombstones = {}   # undeployed name -> former home node
@@ -447,44 +463,14 @@ class Cluster:
     def deploy(self, descriptor_xml, node=None, properties=None):
         """Deploy one descriptor onto the fleet.
 
-        The target is ``node`` or the placement service's (node, CPU)
-        choice; the descriptor travels as a ``deploy`` message and the
-        target's resolving services decide admission.  Returns the
-        target node name."""
+        The one-member case of :meth:`deploy_application`: the target
+        is ``node`` or the placement service's choice, the descriptor
+        travels as a one-entry ``deploy`` message, the target's
+        resolving services decide admission and its ``deploy_ack``
+        reconciles the home map.  Returns the target node name."""
         descriptor = ComponentDescriptor.from_xml(descriptor_xml)
-        name = descriptor.name
-        if name in self.deployments:
-            raise ClusterError("component %r already deployed on %s"
-                               % (name, self.deployments[name]))
-        if node is None:
-            node = self.placement.choose_node_for_group(
-                descriptor.contract.cpu_usage,
-                extra_node_load=self._pending_load())
-            if node is None:
-                raise ClusterError(
-                    "no (node, CPU) slot fits %r (usage %.2f)"
-                    % (name, descriptor.contract.cpu_usage))
-        elif node not in self.nodes:
-            raise ClusterError("unknown node %r" % (node,))
-        self._consult_plan_guard([descriptor_xml], node,
-                                 "component %r" % (name,))
-        entry = {
-            "name": name,
-            "descriptor_xml": descriptor_xml,
-            "state": ComponentState.ACTIVE.value,
-            "bundle": None,
-        }
-        if properties:
-            entry["properties"] = dict(properties)
-        self._tombstones.pop(name, None)
-        self.catalog[name] = entry
-        self.deployments[name] = node
-        self._m_deployments.inc()
-        self.transport.send(self.coordinator_name, node, "deploy", {
-            "entry": entry,
-            "reply_to": self.coordinator_name,
-        })
-        return node
+        return self._deploy([(descriptor, descriptor_xml, properties)],
+                            node, "component %r" % (descriptor.name,))
 
     def deploy_application(self, app_name, descriptor_xmls,
                            node=None, properties=None):
@@ -496,53 +482,58 @@ class Cluster:
         group in one batch round, then records the grouping via
         ``define_application``.  ``properties`` maps component name to
         saved property dicts.  Returns the target node name."""
-        descriptors = [ComponentDescriptor.from_xml(xml)
-                       for xml in descriptor_xmls]
-        members = [descriptor.name for descriptor in descriptors]
-        for member in members:
-            if member in self.deployments:
-                raise ClusterError(
-                    "component %r already deployed on %s"
-                    % (member, self.deployments[member]))
+        properties = properties or {}
+        members = []
+        for xml in descriptor_xmls:
+            descriptor = ComponentDescriptor.from_xml(xml)
+            members.append((descriptor, xml,
+                            properties.get(descriptor.name)))
+        return self._deploy(members, node,
+                            "application %r" % (app_name,),
+                            application=app_name)
+
+    def _deploy(self, members, node, subject, application=None):
+        """Place ``(descriptor, xml, properties)`` members together,
+        pass the plan guard, book them, and send one ``deploy``."""
+        names = [descriptor.name for descriptor, _, _ in members]
+        for name in names:
+            if name in self.deployments:
+                raise ClusterError("component %r already deployed on %s"
+                                   % (name, self.deployments[name]))
         if node is None:
             total = sum(descriptor.contract.cpu_usage
-                        for descriptor in descriptors)
+                        for descriptor, _, _ in members)
             node = self.placement.choose_node_for_group(
                 total, extra_node_load=self._pending_load())
             if node is None:
-                raise ClusterError(
-                    "no node fits application %r (usage %.2f)"
-                    % (app_name, total))
+                raise ClusterError("no node fits %s (usage %.2f)"
+                                   % (subject, total))
         elif node not in self.nodes:
             raise ClusterError("unknown node %r" % (node,))
-        self._consult_plan_guard(list(descriptor_xmls), node,
-                                 "application %r" % (app_name,),
-                                 application=app_name,
-                                 members=members)
-        properties = properties or {}
+        self._consult_plan_guard([xml for _, xml, _ in members], node,
+                                 subject, application=application,
+                                 members=names)
         entries = []
-        for descriptor, xml in zip(descriptors, descriptor_xmls):
+        for descriptor, xml, properties in members:
+            name = descriptor.name
             entry = {
-                "name": descriptor.name,
+                "name": name,
                 "descriptor_xml": xml,
                 "state": ComponentState.ACTIVE.value,
                 "bundle": None,
             }
-            if descriptor.name in properties:
-                entry["properties"] = dict(
-                    properties[descriptor.name])
+            if properties:
+                entry["properties"] = dict(properties)
             entries.append(entry)
-            self._tombstones.pop(descriptor.name, None)
-            self.catalog[descriptor.name] = entry
-            self.deployments[descriptor.name] = node
+            self._tombstones.pop(name, None)
+            self.catalog[name] = entry
+            self.deployments[name] = node
             self._m_deployments.inc()
-        self.transport.send(self.coordinator_name, node,
-                            "deploy_app", {
-                                "entries": entries,
-                                "application": app_name,
-                                "members": members,
-                                "reply_to": self.coordinator_name,
-                            })
+        self.transport.send(self.coordinator_name, node, "deploy", {
+            "entries": entries,
+            "application": application,
+            "reply_to": self.coordinator_name,
+        })
         return node
 
     def undeploy(self, name):
@@ -567,22 +558,60 @@ class Cluster:
 
         Routed as a ``mgmt`` message to the home node, which resolves
         the component's registered management service via the OSGi
-        registry.  Returns a request id; the reply lands in
+        registry.  Returns a request id; its one reply lands in
         ``mgmt_replies[request_id]`` once the simulator has run the
-        round-trip."""
+        round-trip, from the component's new home if it moved."""
         node = self.deployments.get(name)
         if node is None:
             raise ClusterError("component %r is not deployed"
                                % (name,))
         request_id = "req%05d" % next(self._seq)
-        self.transport.send(self.coordinator_name, node, "mgmt", {
+        request = {
             "component": name,
             "op": op,
             "args": list(args),
             "request_id": request_id,
             "reply_to": self.coordinator_name,
-        })
+        }
+        self._requests[request_id] = request
+        self.transport.send(self.coordinator_name, node, "mgmt", request)
         return request_id
+
+    def _on_mgmt_reply(self, reply):
+        """Record a management reply, unless it says the component
+        moved off the node that answered: then the request is held
+        until an in-flight migration from that node settles, or
+        re-sent at once when the home has already changed."""
+        request = self._requests.get(reply["request_id"])
+        if request is not None and reply.get("moved"):
+            name, node = request["component"], reply["node"]
+            for migration in self._migrations.values():
+                if not migration.done and migration.name == name \
+                        and migration.src == node:
+                    migration.held.append(reply)
+                    return
+            home = self.deployments.get(name)
+            if home is not None and home != node:
+                self.transport.send(self.coordinator_name, home,
+                                    "mgmt", request)
+                return
+        self._answer(reply)
+
+    def _answer(self, reply):
+        self._requests.pop(reply["request_id"], None)
+        self.mgmt_replies[reply["request_id"]] = reply
+
+    def _settle(self, migration):
+        """Re-send the requests held on a settled migration to the
+        component's home; with no home left, the held error stands."""
+        home = self.deployments.get(migration.name)
+        for reply in migration.held:
+            if home is None:
+                self._answer(reply)
+            else:
+                self.transport.send(self.coordinator_name, home, "mgmt",
+                                    self._requests[reply["request_id"]])
+        migration.held = []
 
     # ------------------------------------------------------------------
     # migration
@@ -598,10 +627,8 @@ class Cluster:
                                % (name,))
         if dst is None:
             entry = self.catalog.get(name)
-            usage = ComponentDescriptor.from_xml(
-                entry["descriptor_xml"]).contract.cpu_usage \
-                if entry else 0.0
-            dst = self.placement.choose_node(usage, exclude={src})
+            dst = self.placement.choose_node(
+                _usage(entry) if entry else 0.0, exclude={src})
             if dst is None:
                 raise ClusterError(
                     "no migration target fits %r" % (name,))
@@ -614,15 +641,18 @@ class Cluster:
         self.sim.trace.record(self.sim.now, "cluster",
                               action="migrate", component=name,
                               src=src, dst=dst, id=migration_id)
-        self.transport.send(self.coordinator_name, src,
-                            "migrate_out", {
-                                "name": name,
-                                "dst": dst,
-                                "migration_id": migration_id,
-                                "reply_to": self.coordinator_name,
-                            })
+        self._send_migrate_out(migration)
         self._arm_migration_check(migration)
         return migration_id
+
+    def _send_migrate_out(self, migration):
+        self.transport.send(self.coordinator_name, migration.src,
+                            "migrate_out", {
+                                "name": migration.name,
+                                "dst": migration.dst,
+                                "migration_id": migration.id,
+                                "reply_to": self.coordinator_name,
+                            })
 
     def migration(self, migration_id):
         """Status dict of one migration."""
@@ -660,11 +690,9 @@ class Cluster:
             # re-choosing it if the original left membership.
             if self.membership.is_dead(migration.dst) \
                     or not self.nodes[migration.dst].alive:
-                usage = ComponentDescriptor.from_xml(
-                    migration.entry["descriptor_xml"]) \
-                    .contract.cpu_usage
                 dst = self.placement.choose_node(
-                    usage, exclude={migration.src, migration.dst})
+                    _usage(migration.entry),
+                    exclude={migration.src, migration.dst})
                 if dst is None:
                     self._fail_migration(migration)
                     return
@@ -678,13 +706,7 @@ class Cluster:
         elif self.nodes[migration.src].alive \
                 and not self.membership.is_dead(migration.src):
             # migrate_out (or migrate_begun) was lost; ask again.
-            self.transport.send(self.coordinator_name, migration.src,
-                                "migrate_out", {
-                                    "name": migration.name,
-                                    "dst": migration.dst,
-                                    "migration_id": migration.id,
-                                    "reply_to": self.coordinator_name,
-                                })
+            self._send_migrate_out(migration)
         else:
             # No ledger and the source is gone: the component's fate
             # is the failover path's job (catalog fallback).
@@ -698,18 +720,24 @@ class Cluster:
         migration.done = True
         migration.outcome = "failed"
         self._m_migration_failures.inc()
-        entry = migration.entry or self.catalog.get(migration.name)
-        placed = None
-        if entry is not None \
-                and not self._component_lives_somewhere(
-                    migration.name):
-            placed = self._place_groups(
-                [[entry]], exclude=(), reason="migration-fallback")
+        placed = self._rescue(migration)
         self.sim.trace.record(self.sim.now, "cluster",
                               action="migration_failed",
                               component=migration.name,
                               id=migration.id,
-                              fallback=bool(placed))
+                              fallback=placed)
+        self._settle(migration)
+
+    def _rescue(self, migration):
+        """Place a component its migration left homeless from the
+        ledger or catalog, so it is not lost; returns whether it
+        placed it."""
+        entry = migration.entry or self.catalog.get(migration.name)
+        if entry is None \
+                or self._component_lives_somewhere(migration.name):
+            return False
+        return bool(self._place_groups([[entry]], exclude=(),
+                                       reason="migration-fallback"))
 
     def _component_lives_somewhere(self, name):
         return any(name in node.drcr.registry
@@ -727,9 +755,7 @@ class Cluster:
             entry = self.catalog.get(name)
             if entry is None:
                 continue
-            usage = ComponentDescriptor.from_xml(
-                entry["descriptor_xml"]).contract.cpu_usage
-            pending[home] = pending.get(home, 0.0) + usage
+            pending[home] = pending.get(home, 0.0) + _usage(entry)
         return pending
 
     # ------------------------------------------------------------------
@@ -828,9 +854,7 @@ class Cluster:
         plan = {}
         extra_node_load = {}
         for group in groups:
-            total = sum(ComponentDescriptor.from_xml(
-                entry["descriptor_xml"]).contract.cpu_usage
-                for entry in group)
+            total = sum(_usage(entry) for entry in group)
             node_name = self.placement.choose_node_for_group(
                 total, exclude=exclude,
                 extra_node_load=extra_node_load)
@@ -841,13 +865,10 @@ class Cluster:
             plan.setdefault(node_name, []).extend(group)
         moved = {}
         for node_name, group in plan.items():
-            node = self.nodes[node_name]
-            report = restore_entries(node.drcr, group,
-                                     stash=node.stash)
-            for outcome in _PLACED_OUTCOMES:
-                for comp in report[outcome]:
-                    moved[comp] = node_name
-                    self.deployments[comp] = node_name
+            report = self.nodes[node_name].management.deploy_entries(
+                group)
+            for comp in _placed(report):
+                moved[comp] = self.deployments[comp] = node_name
             self.sim.trace.record(self.sim.now, "cluster",
                                   action="redeploy", node=node_name,
                                   reason=reason, count=len(group))
@@ -860,8 +881,8 @@ class Cluster:
         kind = message.kind
         payload = message.payload
         if kind == "deploy_ack":
-            if payload["outcome"] in _PLACED_OUTCOMES:
-                self.deployments[payload["name"]] = payload["node"]
+            for comp in _placed(payload["report"]):
+                self.deployments[comp] = payload["node"]
         elif kind == "undeploy_ack":
             pass  # home map already updated optimistically
         elif kind == "migrate_begun":
@@ -872,7 +893,7 @@ class Cluster:
         elif kind == "migrate_ack":
             self._on_migrate_ack(payload)
         elif kind == "mgmt_reply":
-            self.mgmt_replies[payload["request_id"]] = payload
+            self._on_mgmt_reply(payload)
         elif kind == "digest":
             node = payload["node"]
             if not self.membership.is_dead(node) \
@@ -914,15 +935,10 @@ class Cluster:
         else:
             # "absent"/"skipped": nothing moved on the target.  If the
             # source already let go (its migrate_begun and migrate_in
-            # were both lost) the component is homeless -- place it
-            # from the ledger or catalog so it is not lost.
+            # were both lost) the component is homeless.
             self._m_migration_failures.inc()
-            entry = migration.entry or self.catalog.get(migration.name)
-            if entry is not None \
-                    and not self._component_lives_somewhere(
-                        migration.name):
-                self._place_groups([[entry]], exclude=(),
-                                   reason="migration-fallback")
+            self._rescue(migration)
+        self._settle(migration)
 
     # ------------------------------------------------------------------
     # reporting

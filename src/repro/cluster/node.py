@@ -1,12 +1,12 @@
 """One federation member: a full DRCom platform behind a network name.
 
-A :class:`ClusterNode` owns the same stack :func:`repro.platform
-.build_platform` assembles -- an :class:`~repro.rtos.kernel.RTKernel`,
-an OSGi :class:`~repro.osgi.framework.Framework` and a
+A :class:`ClusterNode` is a :class:`~repro.platform.Platform`: it owns
+the same stack :func:`repro.platform.build_platform` assembles -- an
+:class:`~repro.rtos.kernel.RTKernel`, an OSGi
+:class:`~repro.osgi.framework.Framework` and a
 :class:`~repro.core.drcr.DRCR` -- but on a *shared* simulator, so any
-number of nodes advance in lock-step on one timeline.  It duck-types
-:class:`~repro.platform.Platform` (``sim``/``kernel``/``framework``/
-``drcr``/``telemetry``), which is what lets the fault engine
+number of nodes advance in lock-step on one timeline (``run_for``
+advances them all).  Being a platform is what lets the fault engine
 (:mod:`repro.faults`) arm its per-platform injectors against a single
 node unchanged.
 
@@ -26,12 +26,11 @@ from repro.core.placement import BestFitPlacement
 from repro.core.snapshot import (
     PendingPropertyStash,
     export_component_entry,
-    restore_component_entry,
     restore_entries,
 )
 from repro.osgi.framework import Framework
+from repro.platform import Platform
 from repro.rtos.kernel import KernelConfig, RTKernel
-from repro.sim.engine import MSEC
 
 #: OSGi service interface the node management service registers under.
 NODE_MANAGEMENT_INTERFACE = "drcom.cluster.NodeManagement"
@@ -46,25 +45,26 @@ class NodeManagementService:
 
     Registered in the node's own service registry (under
     :data:`NODE_MANAGEMENT_INTERFACE`), so local bundles and the remote
-    deployment protocol share one entry point.
+    deployment protocol share one entry point.  :meth:`deploy_entries`
+    is the one way the cluster lands components on the node: remote
+    deploys, migration hand-offs and failover re-homing all call it.
     """
 
     def __init__(self, node):
         self._node = node
 
-    def deploy_entry(self, entry):
-        """Deploy one exported snapshot entry; admission is re-decided
-        by this node's resolving services.  Returns the outcome bucket
-        (see :func:`repro.core.snapshot.restore_component_entry`)."""
-        return restore_component_entry(self._node.drcr, entry,
-                                       stash=self._node.stash)
-
-    def deploy_entries(self, entries):
-        """Deploy a co-located group in one coalesced reconfiguration
-        round (:func:`repro.core.snapshot.restore_entries`): wired
-        applications arrive whole, so their ports resolve here."""
-        return restore_entries(self._node.drcr, entries,
-                               stash=self._node.stash)
+    def deploy_entries(self, entries, application=None):
+        """Deploy snapshot entries in one coalesced round
+        (:func:`repro.core.snapshot.restore_entries`, which re-decides
+        admission) and return its report.  A wired application arrives
+        whole, so its ports resolve here; ``application`` records the
+        entries as its members."""
+        node = self._node
+        report = restore_entries(node.drcr, entries, stash=node.stash)
+        if application:
+            node.drcr.define_application(
+                application, [entry["name"] for entry in entries])
+        return report
 
     def undeploy(self, name):
         """Remove one component; returns ``"undeployed"`` or
@@ -119,21 +119,20 @@ class NodeManagementService:
         return "NodeManagementService(%s)" % self._node.name
 
 
-class ClusterNode:
+class ClusterNode(Platform):
     """A federation member: kernel + framework + DRCR on a shared sim."""
 
     def __init__(self, name, sim, transport, kernel_config=None,
                  internal_policy=None, container_factory=None,
                  placement=None):
+        kernel = RTKernel(sim, kernel_config or KernelConfig())
+        framework = Framework(telemetry=sim.telemetry)
+        drcr = DRCR(framework, kernel, internal_policy=internal_policy,
+                    container_factory=container_factory)
+        super().__init__(sim, kernel, framework, drcr)
+        drcr.attach()
         self.name = name
-        self.sim = sim
         self.transport = transport
-        self.kernel = RTKernel(sim, kernel_config or KernelConfig())
-        self.framework = Framework(telemetry=sim.telemetry)
-        self.drcr = DRCR(self.framework, self.kernel,
-                         internal_policy=internal_policy,
-                         container_factory=container_factory)
-        self.drcr.attach()
         # Node-local CPU choice; the cluster layer picks the node.
         self.drcr.set_placement_service(
             placement if placement is not None else BestFitPlacement())
@@ -147,27 +146,6 @@ class ClusterNode:
         self._snapshot_cache = None
         self._snapshot_version = 0
         transport.register(name, self.handle_message)
-
-    # ------------------------------------------------------------------
-    # Platform duck-typing (fault engine, telemetry helpers)
-    # ------------------------------------------------------------------
-    @property
-    def now(self):
-        """Current simulated time (ns)."""
-        return self.sim.now
-
-    @property
-    def telemetry(self):
-        """The shared :class:`~repro.telemetry.metrics.Telemetry`."""
-        return self.sim.telemetry
-
-    def run_for(self, duration_ns):
-        """Advance the *shared* simulator (every node advances)."""
-        return self.sim.run_for(duration_ns)
-
-    def start_timer(self, period_ns=MSEC):
-        """Start this node's hardware timer."""
-        self.kernel.start_timer(period_ns)
 
     # ------------------------------------------------------------------
     # state export / liveness
@@ -236,19 +214,9 @@ class ClusterNode:
                                         "snapshot": snapshot,
                                     })
         elif kind == "deploy":
-            outcome = self.management.deploy_entry(payload["entry"])
+            report = self.management.deploy_entries(
+                payload["entries"], payload.get("application"))
             self.transport.send(self.name, reply_to, "deploy_ack", {
-                "name": payload["entry"]["name"],
-                "node": self.name,
-                "outcome": outcome,
-            })
-        elif kind == "deploy_app":
-            report = self.management.deploy_entries(payload["entries"])
-            if payload.get("application"):
-                self.drcr.define_application(payload["application"],
-                                             payload["members"])
-            self.transport.send(self.name, reply_to, "deploy_app_ack", {
-                "application": payload.get("application"),
                 "node": self.name,
                 "report": report,
             })
@@ -262,10 +230,13 @@ class ClusterNode:
         elif kind == "migrate_out":
             self._handle_migrate_out(payload, reply_to)
         elif kind == "migrate_in":
-            outcome = self.management.deploy_entry(payload["entry"])
+            entry = payload["entry"]
+            report = self.management.deploy_entries([entry])
+            outcome, = [bucket for bucket, names in report.items()
+                        if names]
             self.transport.send(self.name, reply_to, "migrate_ack", {
                 "migration_id": payload["migration_id"],
-                "name": payload["entry"]["name"],
+                "name": entry["name"],
                 "node": self.name,
                 "outcome": outcome,
             })
@@ -309,17 +280,20 @@ class ClusterNode:
 
     def _handle_mgmt(self, payload, reply_to):
         """Remote §2.4 operation: parse, route through the registered
-        management service, reply with result or error."""
+        management service, reply with result or error.  An error for
+        a component this node does not host carries ``moved: True``,
+        so the coordinator can re-send the request to its new home."""
+        name = payload["component"]
         request_id = payload.get("request_id")
         try:
             result = self.management.manage(
-                payload["component"], payload["op"],
-                *payload.get("args", ()))
+                name, payload["op"], *payload.get("args", ()))
             reply = {"request_id": request_id, "node": self.name,
                      "ok": True, "result": result}
         except Exception as error:
             reply = {"request_id": request_id, "node": self.name,
-                     "ok": False, "error": str(error)}
+                     "ok": False, "error": str(error),
+                     "moved": name not in self.drcr.registry}
         self.transport.send(self.name, reply_to, "mgmt_reply", reply)
 
     def __repr__(self):

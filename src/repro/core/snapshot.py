@@ -165,26 +165,6 @@ class PendingPropertyStash:
         return "PendingPropertyStash(%d pending)" % len(self._pending)
 
 
-def restore_component_entry(drcr, entry, stash=None):
-    """Re-deploy one exported entry onto ``drcr``.
-
-    Returns the outcome bucket name (``"restored"``, ``"suspended"``,
-    ``"disabled"``, ``"unsatisfied"`` or ``"skipped"``).  ``stash``
-    (a :class:`PendingPropertyStash`) receives the saved properties
-    when the component is not admitted right away; without one, a
-    late-resolving component falls back to descriptor defaults.
-
-    This is the single-component path cross-node migration and
-    failover use; :func:`restore_state` drives it for whole snapshots.
-    """
-    name = entry["name"]
-    if name in drcr.registry:
-        return "skipped"
-    descriptor = ComponentDescriptor.from_xml(entry["descriptor_xml"])
-    component = drcr.register_component(descriptor)
-    return _apply_entry_intent(drcr, component, entry, stash)
-
-
 def _apply_entry_intent(drcr, component, entry, stash):
     """Second restore phase for one registered component: lifecycle
     intent plus live properties (immediately, or stashed)."""
@@ -209,26 +189,36 @@ def _apply_entry_intent(drcr, component, entry, stash):
 def restore_entries(drcr, entries, stash=None):
     """Re-deploy a batch of exported entries in one coalesced round.
 
-    Registration happens inside a single ``drcr.batch()`` (dependency
-    chains resolve regardless of entry order); lifecycle intent and
-    live properties apply in a second pass once the whole group has
-    had its chance to resolve.  Returns the outcome report.  This is
-    the group path cluster failover uses; :func:`restore_state` drives
-    it for whole snapshots.
+    The one path exported entries take onto a DRCR: a singleton is a
+    one-entry batch, cluster deploys, migrations and failover arrive
+    through :meth:`repro.cluster.node.NodeManagementService
+    .deploy_entries`, and :func:`restore_state` drives it for whole
+    snapshots.  Registration happens inside a single ``drcr.batch()``
+    (dependency chains resolve regardless of entry order); lifecycle
+    intent and live properties apply in a second pass once the whole
+    group has had its chance to resolve, and ``stash`` (a
+    :class:`PendingPropertyStash`) keeps the saved properties of each
+    component not admitted yet.  Returns the report: each name in one
+    outcome bucket (``restored``, ``suspended``, ``disabled``,
+    ``unsatisfied``, or ``skipped`` when already registered).
     """
     report = {"restored": [], "unsatisfied": [], "skipped": [],
               "disabled": [], "suspended": []}
+    fresh = {}
+    for entry in entries:
+        name = entry["name"]
+        if name in drcr.registry or name in fresh:
+            report["skipped"].append(name)
+        else:
+            fresh[name] = entry
     deferred = []
-    with drcr.batch():
-        for entry in entries:
-            name = entry["name"]
-            if name in drcr.registry:
-                report["skipped"].append(name)
-                continue
-            descriptor = ComponentDescriptor.from_xml(
-                entry["descriptor_xml"])
-            component = drcr.register_component(descriptor)
-            deferred.append((component, entry))
+    if fresh:  # registering nothing runs no round
+        with drcr.batch():
+            for entry in fresh.values():
+                descriptor = ComponentDescriptor.from_xml(
+                    entry["descriptor_xml"])
+                deferred.append(
+                    (drcr.register_component(descriptor), entry))
     for component, entry in deferred:
         outcome = _apply_entry_intent(drcr, component, entry, stash)
         report[outcome].append(component.name)

@@ -167,6 +167,9 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, data):
         """Parse one spec; accepts ``at_ms``/``duration_ms`` sugar."""
+        if not isinstance(data, dict):
+            raise FaultPlanError("a fault must be an object, got %r"
+                                 % (data,))
         try:
             kind = FaultKind(data["kind"])
         except (KeyError, ValueError) as error:
@@ -224,12 +227,18 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data):
         """Parse a plan from plain data."""
+        if not isinstance(data, dict):
+            raise FaultPlanError("a fault plan must be an object, got %r"
+                                 % (data,))
         if "name" not in data:
             raise FaultPlanError("fault plan needs a name")
+        faults = data.get("faults", [])
+        if not isinstance(faults, list):
+            raise FaultPlanError("'faults' must be a list, got %r"
+                                 % (faults,))
         return cls(data["name"],
                    seed=data.get("seed", 0),
-                   faults=[FaultSpec.from_dict(item)
-                           for item in data.get("faults", [])],
+                   faults=[FaultSpec.from_dict(item) for item in faults],
                    watchdog=data.get("watchdog"),
                    quarantine=data.get("quarantine"))
 

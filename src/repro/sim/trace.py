@@ -12,7 +12,7 @@ class TraceRecord:
 
     __slots__ = ("time", "category", "fields")
 
-    def __init__(self, time, category, **fields):
+    def __init__(self, time, category, /, **fields):
         self.time = time
         self.category = category
         self.fields = fields
@@ -63,7 +63,7 @@ class TraceRecorder:
         """Resume recording."""
         self._enabled = True
 
-    def record(self, time, category, **fields):
+    def record(self, time, category, /, **fields):
         """Append one record (no-op while disabled)."""
         if self._enabled:
             self._records.append(TraceRecord(time, category, **fields))

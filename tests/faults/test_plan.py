@@ -88,6 +88,22 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError):
             FaultPlan.from_dict({"faults": []})
 
+    @pytest.mark.parametrize("data", [
+        123, None, ["name"],
+        {"name": "x", "faults": [1]},
+        {"name": "x", "faults": [None]},
+        {"name": "x", "faults": "crash"},
+        {"name": "x", "faults": {"kind": "crash"}},
+    ], ids=["number", "null", "list", "entry-number",
+            "entry-null", "faults-string", "faults-object"])
+    def test_misshapen_plan_is_a_plan_error(self, data):
+        with pytest.raises(FaultPlanError):
+            FaultPlan.from_dict(data)
+
+    def test_misshapen_spec_is_a_plan_error(self):
+        with pytest.raises(FaultPlanError):
+            FaultSpec.from_dict(["kind", "crash"])
+
     def test_watchdog_config_needs_limit(self):
         with pytest.raises(FaultPlanError):
             FaultPlan("p", watchdog={"policy": "fault"})

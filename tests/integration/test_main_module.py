@@ -26,26 +26,45 @@ def test_python_dash_m_repro():
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
+#: Fault plans whose JSON parses but has the wrong shape.
+MISSHAPEN_PLANS = {
+    "number.json": "123",
+    "null.json": "null",
+    "entry-number.json": '{"name": "x", "faults": [1]}',
+    "faults-string.json": '{"name": "x", "faults": "crash"}',
+    "faults-object.json": '{"name": "x", "faults": {"kind": "crash"}}',
+}
+
+
 @pytest.mark.parametrize("args", [
     ["--faults", "missing.json"],
     ["--faults", "broken.json"],
     ["--faults", "nameless.json"],
+    *(["--faults", name] for name in MISSHAPEN_PLANS),
     ["--trace", "no-such-dir/t.json"],
     ["--metrics", "no-such-dir/m.json"],
     ["cluster", "--seconds", "0"],
     ["cluster", "--seconds", "-1"],
     ["cluster", "--utilization", "0"],
+    ["cluster", "--utilization", "5"],
+    ["cluster", "--nodes", "2", "--components", "2",
+     "--utilization", "1.8"],
     ["cluster", "--drop", "2"],
     ["cluster", "--json", "no-such-dir/r.json"],
     ["cluster", "--export-plan", "no-such-dir/p.json"],
 ], ids=["faults-missing", "faults-invalid-json", "faults-invalid-plan",
+        "faults-plan-number", "faults-plan-null", "faults-entry-number",
+        "faults-list-string", "faults-list-object",
         "trace-unwritable", "metrics-unwritable", "cluster-seconds-0",
         "cluster-seconds-negative", "cluster-utilization-0",
+        "cluster-utilization-5", "cluster-no-migration-target",
         "cluster-drop-2", "cluster-json-unwritable",
         "cluster-export-plan-unwritable"])
 def test_bad_input_exits_2_without_traceback(args, tmp_path):
     (tmp_path / "broken.json").write_text('{"name": "x", "faults": [')
     (tmp_path / "nameless.json").write_text('{"faults": []}')
+    for name, text in MISSHAPEN_PLANS.items():
+        (tmp_path / name).write_text(text)
     result = subprocess.run(
         [sys.executable, "-m", "repro", *args], cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
