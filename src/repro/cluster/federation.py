@@ -100,17 +100,26 @@ class PlanGuard:
 
     The fleet-scope mirror of
     :class:`~repro.lint.resolver.LintResolvingService`'s differential
-    blame: the current :meth:`Cluster.export_plan` baseline is linted
-    and fingerprinted, the candidate plan (baseline plus the requested
-    deployment) is linted, and the deployment is vetoed only for *new*
-    findings at or above ``fail_on`` -- pre-existing fleet debt never
-    blocks unrelated work.  Unlike the resolver, findings are
-    fingerprinted by ``(code, component)`` without the message: plan
-    messages quote fleet-wide load numbers that legitimately drift
-    when anything deploys, and a drifted number is not a new defect.
+    blame: the candidate plan (the current :meth:`Cluster.export_plan`
+    baseline plus the requested deployment) is linted, and the
+    deployment is vetoed only for findings at or above ``fail_on``
+    that the baseline does not already carry -- pre-existing fleet
+    debt never blocks unrelated work.  Unlike the resolver, findings
+    are fingerprinted by ``(code, component)`` without the message:
+    plan messages quote fleet-wide load numbers that legitimately
+    drift when anything deploys, and a drifted number is not a new
+    defect.
+
+    One lint per deploy: the candidate runs the node-local checks
+    (:mod:`repro.lint.deployment` lists them) for the target node only,
+    since every other node's node-local findings are the baseline's
+    own and can never be new; the fleet-wide checks see the whole
+    candidate.  The baseline is linted -- in full, because
+    fingerprints collide across nodes (DRT301 names no component) --
+    only when the candidate has a finding at or above ``fail_on``.
     Failover re-homing is mandatory and is never blocked;
-    :meth:`note_failover` runs an advisory lint of the post-failover
-    plan and records what it finds.
+    :meth:`note_failover` runs an advisory full lint of the
+    post-failover plan and records what it finds.
 
     Telemetry lands in the ``lint`` registry:
     ``plan_checks_total``, ``plan_rejections_total``,
@@ -131,13 +140,11 @@ class PlanGuard:
         self._m_failover_checks = metrics.counter(
             "plan_failover_checks_total")
 
-    def _lint(self, document):
+    def _lint(self, document, nodes=None):
         # Lazy: repro.lint.engine transitively imports this package.
         from repro.lint.engine import lint_plan
-        if self.families is None:
-            return lint_plan(document, location="<plan-guard>")
         return lint_plan(document, location="<plan-guard>",
-                         families=self.families)
+                         families=self.families, nodes=nodes)
 
     @staticmethod
     def _fingerprints(result):
@@ -149,12 +156,13 @@ class PlanGuard:
 
         Builds the candidate plan (the live fleet's exported plan plus
         ``descriptor_xmls`` homed on ``node``, and the application
-        grouping when given), lints both, and returns the candidate's
-        findings at or above ``fail_on`` that the baseline does not
-        already carry.  Empty list = the deployment may proceed."""
+        grouping when given), lints it with the node-local checks on
+        ``node`` only, and returns its findings at or above
+        ``fail_on`` that the baseline does not already carry; the
+        baseline is linted only when there is such a finding.  Empty
+        list = the deployment may proceed."""
         self._m_checks.inc()
         plan = self.cluster.export_plan()
-        baseline = self._lint(plan)
         # One export serves both plans: the candidate copies only what
         # it changes (the target node's component list, the
         # deployments list holding it and the applications map).
@@ -174,12 +182,13 @@ class PlanGuard:
             {"xml": xml} for xml in descriptor_xmls)
         if application is not None and members is not None:
             candidate["applications"][application] = list(members)
-        result = self._lint(candidate)
-        known = self._fingerprints(baseline)
-        new = [diagnostic
-               for diagnostic in result.at_or_above(self.fail_on)
-               if (diagnostic.code, diagnostic.component)
-               not in known]
+        blocking = self._lint(candidate, nodes=(node,)).at_or_above(
+            self.fail_on)
+        if not blocking:
+            return []
+        known = self._fingerprints(self._lint(plan))
+        new = [diagnostic for diagnostic in blocking
+               if (diagnostic.code, diagnostic.component) not in known]
         if new:
             self._m_rejections.inc()
             for diagnostic in new:
@@ -377,6 +386,11 @@ class Cluster:
         optionally lists rule-file paths to carry along."""
         from repro.lint.deployment import PLAN_SCHEMA_VERSION
         alive = {node.name for node in self.alive_nodes()}
+        hosted = {}  # home -> its components' plan entries, name order
+        for comp, home in sorted(self.deployments.items()):
+            if comp in self.catalog:
+                hosted.setdefault(home, []).append(
+                    {"xml": self.catalog[comp]["descriptor_xml"]})
         nodes = []
         deployments = []
         for name in sorted(self.nodes):
@@ -388,10 +402,7 @@ class Cluster:
                 "num_cpus": node.kernel.config.num_cpus,
                 "cap": self.placement.cap,
             })
-            components = [
-                {"xml": self.catalog[comp]["descriptor_xml"]}
-                for comp, home in sorted(self.deployments.items())
-                if home == name and comp in self.catalog]
+            components = hosted.get(name)
             if components:
                 deployments.append({"node": name,
                                     "components": components})

@@ -18,6 +18,7 @@ against the paper's section-4.2/4.3 pipeline.
 
 import enum
 import json
+import math
 
 from repro.sim.engine import MSEC, USEC
 
@@ -79,12 +80,26 @@ COUNT_KINDS = frozenset({
 })
 
 
+def _number(data, field, default=None):
+    """``data[field]``, or ``default`` when absent; anything but a
+    finite int or float (a bool included) is a :class:`FaultPlanError`
+    naming the field."""
+    if field not in data:
+        return default
+    value = data[field]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not math.isfinite(value):
+        raise FaultPlanError("%s must be a finite number, got %r"
+                             % (field, value))
+    return value
+
+
 def _time_field(data, base, default=None):
     """Read ``<base>_ns`` or ``<base>_ms`` from a plan dict."""
     if base + "_ns" in data:
-        return int(data[base + "_ns"])
+        return int(_number(data, base + "_ns"))
     if base + "_ms" in data:
-        return int(data[base + "_ms"]) * MSEC
+        return int(_number(data, base + "_ms")) * MSEC
     return default
 
 
@@ -175,13 +190,17 @@ class FaultSpec:
         except (KeyError, ValueError) as error:
             raise FaultPlanError("bad fault kind in %r: %s"
                                  % (data, error)) from None
+        target = data.get("target", "*")
+        if not isinstance(target, str):
+            raise FaultPlanError("target must be a string, got %r"
+                                 % (target,))
         return cls(kind,
-                   target=data.get("target", "*"),
+                   target=target,
                    at_ns=_time_field(data, "at", 0),
                    duration_ns=_time_field(data, "duration"),
-                   count=data.get("count", 1),
-                   factor=data.get("factor", 10.0),
-                   probability=data.get("probability", 1.0))
+                   count=_number(data, "count", 1),
+                   factor=_number(data, "factor", 10.0),
+                   probability=_number(data, "probability", 1.0))
 
     def __repr__(self):
         return "FaultSpec(%s, %s, at=%dns)" % (
@@ -236,8 +255,13 @@ class FaultPlan:
         if not isinstance(faults, list):
             raise FaultPlanError("'faults' must be a list, got %r"
                                  % (faults,))
+        for field in ("watchdog", "quarantine"):
+            config = data.get(field)
+            if config is not None and not isinstance(config, dict):
+                raise FaultPlanError("%s must be an object or null, "
+                                     "got %r" % (field, config))
         return cls(data["name"],
-                   seed=data.get("seed", 0),
+                   seed=_number(data, "seed", 0),
                    faults=[FaultSpec.from_dict(item) for item in faults],
                    watchdog=data.get("watchdog"),
                    quarantine=data.get("quarantine"))

@@ -66,6 +66,21 @@ Per-node descriptor sets additionally run through the contract,
 wiring and admission families as their own deployment units (ports
 bind per kernel), so one ``python -m repro lint plan.json`` covers
 both the fleet shape and every node's local deployment.
+
+**Node-local and fleet-wide checks.**  A check is *node-local* when
+its findings for one node depend only on that node: its declared
+CPUs and cap, its ``control`` link and its own components.  The
+node-local checks are the node's contract/wiring/admission unit,
+DRT601 and DRT604.  Every other check is *fleet-wide*: DRT600 parse
+problems, DRT602, DRT603, DRT605/DRT606 and the DRT5xx findings of the
+plan's rule sources.  :func:`lint_plan_document` (and
+:func:`~repro.lint.engine.lint_plan`) take ``nodes``, a collection of
+node names, to run the node-local checks for those nodes only; the
+fleet-wide checks always see the whole plan.  The
+:class:`~repro.cluster.federation.PlanGuard` lints a candidate plan
+this way, because a deploy onto one node leaves every other node's
+node-local findings as they were.  A new check must be classified
+here: node-local only if that argument holds for it.
 """
 
 import json
@@ -163,6 +178,7 @@ class DeploymentPlan:
         self.components = []     # PlanComponent, plan order
         self.applications = {}   # app name -> [member names]
         self.rule_sources = []   # (location, text)
+        self.clashed = set()     # nodes the one-home rule took from
 
     def components_of(self, node_name):
         """This node's components, plan order."""
@@ -318,6 +334,7 @@ def _parse_deployments(document, plan, base_dir, problems):
                         "the fleet home map holds one home per "
                         "component" % (descriptor.name, other,
                                        node_name))
+                    plan.clashed.add(node_name)
                     continue
                 homes[descriptor.name] = node_name
             plan.components.append(PlanComponent(
@@ -448,7 +465,19 @@ def _enabled_components(plan, node_name):
             if comp.descriptor is not None and comp.descriptor.enabled]
 
 
-def _check_hosting(plan):
+def _local_nodes(plan, nodes):
+    """Names of the plan nodes the node-local checks run for, plan
+    order: every node when ``nodes`` is None, else those in ``nodes``
+    plus every node that lost a component it lists to the one-home
+    rule (a component homed on a named node displaced it, so its unit
+    changed too)."""
+    if nodes is None:
+        return list(plan.nodes)
+    return [name for name in plan.nodes
+            if name in nodes or name in plan.clashed]
+
+
+def _check_hosting(plan, nodes=None):
     """DRT601: every node must fit its own components.
 
     Replays the node's admission statically, in plan order: pinned
@@ -456,10 +485,11 @@ def _check_hosting(plan):
     declared CPU, everything else takes the
     :func:`~repro.core.placement.best_fit` CPU that
     :class:`~repro.core.placement.BestFitPlacement` picks at deploy
-    time.
+    time.  Node-local: ``nodes`` as for :func:`lint_plan_document`.
     """
     diagnostics = []
-    for node_name, node in plan.nodes.items():
+    for node_name in _local_nodes(plan, nodes):
+        node = plan.nodes[node_name]
         loads = [0.0] * node.num_cpus
         caps = [node.cap] * node.num_cpus
         for comp in _enabled_components(plan, node_name):
@@ -595,7 +625,7 @@ def _check_cross_node_wiring(plan):
     return diagnostics
 
 
-def _check_management_latency(plan):
+def _check_management_latency(plan, nodes=None):
     """DRT604: coordinator-to-component command paths vs deadlines.
 
     A §2.4 management command rides the ``control -> node`` link and
@@ -604,9 +634,10 @@ def _check_management_latency(plan):
     response time already exceeds its deadline, no command can land
     within one deadline window.  Components whose response time
     analysis diverges are DRT302's finding, not repeated here.
+    Node-local: ``nodes`` as for :func:`lint_plan_document`.
     """
     diagnostics = []
-    for node_name in plan.nodes:
+    for node_name in _local_nodes(plan, nodes):
         link = plan.link_for(COORDINATOR, node_name)
         wire_ns = link.latency_ns + link.jitter_ns
         by_cpu = {}
@@ -712,13 +743,15 @@ def _check_rules_against_topology(plan):
     return diagnostics
 
 
-def check_plan(plan):
-    """All topology-level DRT60x diagnostics for a parsed plan."""
+def check_plan(plan, nodes=None):
+    """All topology-level DRT60x diagnostics for a parsed plan; the
+    node-local DRT601/DRT604 only for ``nodes`` (None = every node,
+    see :func:`lint_plan_document`)."""
     diagnostics = []
-    diagnostics.extend(_check_hosting(plan))
+    diagnostics.extend(_check_hosting(plan, nodes))
     diagnostics.extend(_check_failover_capacity(plan))
     diagnostics.extend(_check_cross_node_wiring(plan))
-    diagnostics.extend(_check_management_latency(plan))
+    diagnostics.extend(_check_management_latency(plan, nodes))
     diagnostics.extend(_check_rules_against_topology(plan))
     return diagnostics
 
@@ -727,14 +760,17 @@ def check_plan(plan):
 # entry points (the engine and the PlanGuard call these)
 # ----------------------------------------------------------------------
 def lint_plan_document(document, location="<plan>", families=None,
-                       base_dir=None):
+                       base_dir=None, nodes=None):
     """Lint one plan document (a parsed JSON object).
 
     Returns ``(diagnostics, units, sources)``: the plan itself is one
-    unit, every node with components is one more (its descriptor set
-    runs the contract/wiring/admission families), and every rule
-    source another (DRT5xx).  ``families`` follows the engine's
-    convention (None = all).
+    unit, every linted node with components is one more (its
+    descriptor set runs the contract/wiring/admission families), and
+    every rule source another (DRT5xx).  ``families`` follows the
+    engine's convention (None = all).  ``nodes`` (None = every node)
+    names the nodes the node-local checks run for (the module
+    docstring lists them), plus any node the one-home rule took a
+    listed component from; the fleet-wide checks see the whole plan.
     """
     # Local import: the engine imports this module at load time.
     from repro.lint.engine import FAMILIES
@@ -750,7 +786,7 @@ def lint_plan_document(document, location="<plan>", families=None,
                                           problem))
     node_families = tuple(f for f in families
                           if f in ("contract", "wiring", "admission"))
-    for node_name in plan.nodes:
+    for node_name in _local_nodes(plan, nodes):
         unit = tuple((comp.location, comp.xml)
                      for comp in plan.components_of(node_name))
         if not unit:
@@ -768,7 +804,7 @@ def lint_plan_document(document, location="<plan>", families=None,
                 diagnostics.extend(adaptrules.check_rule_source(
                     rule_text, rule_location))
     if "deployment" in families:
-        diagnostics.extend(check_plan(plan))
+        diagnostics.extend(check_plan(plan, nodes))
     return diagnostics, units, sources
 
 

@@ -346,16 +346,18 @@ def lint_paths(paths, families=FAMILIES, telemetry=None):
 
 
 def lint_plan(document, location="<plan>", families=FAMILIES,
-              telemetry=None):
+              telemetry=None, nodes=None):
     """Lint one deployment-plan document (a parsed JSON object).
 
     The in-memory twin of passing a plan file to :func:`lint_paths`:
     the :class:`~repro.cluster.federation.Cluster`'s ``PlanGuard``
-    and ``export_plan()`` round-trips call this.  Returns a
-    :class:`LintResult`.
+    and ``export_plan()`` round-trips call this.  ``nodes`` (None =
+    every node) restricts the node-local checks to the named nodes,
+    as :func:`repro.lint.deployment.lint_plan_document` describes.
+    Returns a :class:`LintResult`.
     """
     diagnostics, units, sources = deployment.lint_plan_document(
-        document, location, families=families)
+        document, location, families=families, nodes=nodes)
     result = LintResult(diagnostics, units=units, sources=sources)
     if telemetry is not None:
         record_metrics(telemetry, result)

@@ -1,10 +1,11 @@
 """Content-keyed memo of per-descriptor and per-unit lint work.
 
 The XML of a deployed component never changes, yet the
-:class:`~repro.cluster.federation.PlanGuard` lints the whole fleet
-twice per deploy (baseline and candidate plan), and one plan lint
-reads every descriptor text twice (plan parse, then its node's unit).
-Two bounded LRU memos serve the repeats:
+:class:`~repro.cluster.federation.PlanGuard` parses the whole fleet's
+plan on every deploy (and lints its baseline too when the candidate
+has a finding), and one plan lint reads every descriptor text twice
+(plan parse, then its node's unit).  Two bounded LRU memos serve the
+repeats:
 
 * :func:`descriptor_facts` -- keyed on the descriptor XML text: the
   parsed :class:`~repro.core.descriptor.ComponentDescriptor` (or the
@@ -15,9 +16,10 @@ Two bounded LRU memos serve the repeats:
   their own ``families`` filter.
 * :func:`unit_findings` -- keyed on one plan node's unit, the tuple
   of ``(location, xml)`` pairs, plus the node families: its
-  contract/wiring/admission diagnostics.  A candidate plan differs
-  from its baseline on one node only, so the other nodes hit the
-  entries the baseline lint just filled.
+  contract/wiring/admission diagnostics.  A node's unit is unchanged
+  until a component arrives on or leaves it, so repeat lints of the
+  same fleet -- a vetoed deploy's full baseline, a failover lint,
+  ``lint_warm_ms`` in ``benchmarks/test_scaling_lint.py`` -- hit it.
 
 Both are safe because they are keyed on content and lint treats
 descriptors and diagnostics as read-only: no analyzer assigns to a

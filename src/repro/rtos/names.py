@@ -18,15 +18,23 @@ _ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 _BASE = len(_ALPHABET) + 2  # RTAI uses base 39: alphabet, '$', terminator
 MAX_NAME_LENGTH = 6
 
+#: Character (either case, plus ``$``) -> its RTAI digit.
+_DIGITS = {ch: index + 1 for index, ch in enumerate(_ALPHABET)}
+_DIGITS.update({ch.lower(): digit for ch, digit in _DIGITS.items()})
+_DIGITS["$"] = len(_ALPHABET) + 1
+
 
 def _char_value(ch):
-    upper = ch.upper()
-    idx = _ALPHABET.find(upper)
-    if idx >= 0:
-        return idx + 1
-    if upper == "$":
-        return len(_ALPHABET) + 1
-    raise InvalidTaskNameError("character %r not allowed in RTAI name" % ch)
+    """The RTAI digit of ``ch``, or of its upper-case form when that is
+    one character (``"ı"`` is ``I``; ``"ß"`` and ``"ﬆ"`` are
+    invalid)."""
+    value = _DIGITS.get(ch)
+    if value is None:
+        value = _DIGITS.get(ch.upper())  # two-character forms miss
+        if value is None:
+            raise InvalidTaskNameError(
+                "character %r not allowed in RTAI name" % ch)
+    return value
 
 
 def validate_name(name):
@@ -54,10 +62,8 @@ def nam2num(name):
     name = validate_name(name)
     value = 0
     for ch in name:
-        value = value * _BASE + _char_value(ch)
-    for _ in range(MAX_NAME_LENGTH - len(name)):
-        value = value * _BASE
-    return value
+        value = value * _BASE + _DIGITS[ch]
+    return value * _BASE ** (MAX_NAME_LENGTH - len(name))
 
 
 def num2nam(value):

@@ -7,6 +7,34 @@ from repro.faults.plan import (COUNT_KINDS, WINDOW_KINDS, FaultKind,
                                example_plan, load_plan)
 from repro.sim.engine import MSEC
 
+#: One field of the example plan set to a value of the wrong JSON type
+#: (or a non-finite number), as ``(path, value)``.
+WRONG_TYPES = [
+    pytest.param(("faults", 0, "at_ns"), None, id="at-null"),
+    pytest.param(("seed",), None, id="seed-null"),
+    pytest.param(("watchdog",), 5, id="watchdog-number"),
+    pytest.param(("faults", 1, "duration_ns"), [1], id="duration-list"),
+    pytest.param(("faults", 1, "factor"), "400", id="factor-string"),
+    pytest.param(("faults", 2, "at_ns"), True, id="at-bool"),
+    pytest.param(("faults", 0, "count"), "2", id="count-string"),
+    pytest.param(("faults", 3, "probability"), None,
+                 id="probability-null"),
+    pytest.param(("faults", 0, "at_ns"), float("inf"), id="at-infinite"),
+    pytest.param(("faults", 0, "target"), 5, id="target-number"),
+    pytest.param(("quarantine",), [100], id="quarantine-list"),
+]
+
+
+def example_with(path, value):
+    """``example_plan().to_dict()`` with the field at ``path`` set to
+    ``value``."""
+    data = example_plan().to_dict()
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return data
+
 
 class TestFaultSpec:
     def test_dict_round_trip_every_kind(self):
@@ -103,6 +131,11 @@ class TestFaultPlan:
     def test_misshapen_spec_is_a_plan_error(self):
         with pytest.raises(FaultPlanError):
             FaultSpec.from_dict(["kind", "crash"])
+
+    @pytest.mark.parametrize("path, value", WRONG_TYPES)
+    def test_wrong_typed_field_is_a_plan_error(self, path, value):
+        with pytest.raises(FaultPlanError, match=path[-1]):
+            FaultPlan.from_dict(example_with(path, value))
 
     def test_watchdog_config_needs_limit(self):
         with pytest.raises(FaultPlanError):

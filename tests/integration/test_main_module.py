@@ -3,12 +3,15 @@ the demo and ``cluster`` CLIs must reject unusable input with exit
 status 2 and a one-line diagnostic, never a traceback or an empty
 run."""
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from repro.faults.plan import example_plan
 
 
 def test_python_dash_m_repro():
@@ -26,13 +29,30 @@ def test_python_dash_m_repro():
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
-#: Fault plans whose JSON parses but has the wrong shape.
+def example_with(change):
+    """The built-in fault plan as JSON, with ``change`` applied to its
+    plain-data form."""
+    data = example_plan().to_dict()
+    change(data)
+    return json.dumps(data)
+
+
+#: Fault plans whose JSON parses but has the wrong shape, or a field
+#: of the wrong type.
 MISSHAPEN_PLANS = {
     "number.json": "123",
     "null.json": "null",
     "entry-number.json": '{"name": "x", "faults": [1]}',
     "faults-string.json": '{"name": "x", "faults": "crash"}',
     "faults-object.json": '{"name": "x", "faults": {"kind": "crash"}}',
+    "at-null.json": example_with(
+        lambda data: data["faults"][0].update(at_ns=None)),
+    "seed-null.json": example_with(
+        lambda data: data.update(seed=None)),
+    "watchdog-number.json": example_with(
+        lambda data: data.update(watchdog=5)),
+    "duration-list.json": example_with(
+        lambda data: data["faults"][1].update(duration_ns=[1])),
 }
 
 
@@ -54,7 +74,9 @@ MISSHAPEN_PLANS = {
     ["cluster", "--export-plan", "no-such-dir/p.json"],
 ], ids=["faults-missing", "faults-invalid-json", "faults-invalid-plan",
         "faults-plan-number", "faults-plan-null", "faults-entry-number",
-        "faults-list-string", "faults-list-object",
+        "faults-list-string", "faults-list-object", "faults-at-null",
+        "faults-seed-null", "faults-watchdog-number",
+        "faults-duration-list",
         "trace-unwritable", "metrics-unwritable", "cluster-seconds-0",
         "cluster-seconds-negative", "cluster-utilization-0",
         "cluster-utilization-5", "cluster-no-migration-target",

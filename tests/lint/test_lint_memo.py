@@ -183,6 +183,17 @@ def test_unit_findings_returns_a_fresh_list():
 PORT = ("MPT000", "RTAI.SHM", "Integer", 2)
 
 
+def wired_app():
+    """A 0.5-claim wired application: beside one 0.3 component per
+    one-CPU node, it leaves no N-1 failover capacity (DRT602)."""
+    return [
+        make_descriptor_xml("WIR000", cpuusage=0.25, frequency=10,
+                            priority=20, outports=[PORT]),
+        make_descriptor_xml("WIR001", cpuusage=0.25, frequency=10,
+                            priority=21, inports=[PORT]),
+    ]
+
+
 def guarded_sequence(clear_before_check):
     """Verdicts of a fixed check/deploy sequence on a guarded fleet."""
     cluster = Cluster(("node0", "node1"), seed=11,
@@ -195,12 +206,7 @@ def guarded_sequence(clear_before_check):
                                            priority=5), node="node1")
         cluster.run_for(30 * MSEC)
         guard = cluster.install_plan_guard()
-        wired = [
-            make_descriptor_xml("WIR000", cpuusage=0.25, frequency=10,
-                                priority=20, outports=[PORT]),
-            make_descriptor_xml("WIR001", cpuusage=0.25, frequency=10,
-                                priority=21, inports=[PORT]),
-        ]
+        wired = wired_app()
         steps = [
             ("check", [make_descriptor_xml("TIN000", cpuusage=0.05,
                                            priority=9)], "node0"),
@@ -247,6 +253,8 @@ def test_plan_guard_exports_once_and_keeps_baseline_intact(
     try:
         cluster.deploy(make_descriptor_xml("BAS000", cpuusage=0.3,
                                            priority=5), node="node0")
+        cluster.deploy(make_descriptor_xml("BAS001", cpuusage=0.3,
+                                           priority=5), node="node1")
         guard = cluster.install_plan_guard()
         exports = []
         export_plan = cluster.export_plan
@@ -259,23 +267,45 @@ def test_plan_guard_exports_once_and_keeps_baseline_intact(
         linted = []
         lint = guard._lint
 
-        def recording_lint(document):
-            linted.append(document)
-            return lint(document)
+        def recording_lint(document, nodes=None):
+            linted.append((document, nodes))
+            return lint(document, nodes=nodes)
 
         monkeypatch.setattr(cluster, "export_plan", counting_export)
         monkeypatch.setattr(guard, "_lint", recording_lint)
-        guard.check_deploy([make_descriptor_xml("NEW000", cpuusage=0.1)],
-                           "node0", application="app",
-                           members=["BAS000", "NEW000"])
-        assert len(exports) == 1
-        exported, snapshot = exports[0]
-        baseline, candidate = linted
-        assert baseline is exported and candidate is not exported
-        assert exported == snapshot  # the candidate copied, not shared
-        node0 = [d for d in candidate["deployments"]
-                 if d["node"] == "node0"][0]
+
+        def check(xmls, application, members):
+            exports.clear()
+            linted.clear()
+            verdict = guard.check_deploy(xmls, "node0",
+                                         application=application,
+                                         members=members)
+            assert len(exports) == 1
+            exported, snapshot = exports[0]
+            assert exported == snapshot  # the candidate copied, not shared
+            candidate, nodes = linted[0]
+            assert candidate is not exported and nodes == ("node0",)
+            node0 = [d for d in candidate["deployments"]
+                     if d["node"] == "node0"][0]
+            return verdict, exported, candidate, node0
+
+        # A clean candidate is the only lint.
+        verdict, _, candidate, node0 = check(
+            [make_descriptor_xml("NEW000", cpuusage=0.1)], "app",
+            ["BAS000", "NEW000"])
+        assert verdict == [] and len(linted) == 1
         assert len(node0["components"]) == 2
         assert candidate["applications"]["app"] == ["BAS000", "NEW000"]
+
+        # A vetoed candidate is linted first, then the untouched
+        # export, in full.
+        verdict, exported, candidate, node0 = check(
+            wired_app(), "wapp", ["WIR000", "WIR001"])
+        assert {d.code for d in verdict} == {"DRT602"}
+        assert len(linted) == 2
+        baseline, nodes = linted[1]
+        assert baseline is exported and nodes is None
+        assert len(node0["components"]) == 3
+        assert candidate["applications"]["wapp"] == ["WIR000", "WIR001"]
     finally:
         cluster.shutdown()
