@@ -15,8 +15,11 @@ baseline (hard cap: exponent < 2.0).
 ``lint_ms`` and the exponent measure a *cold* lint: the lint memo
 (:mod:`repro.lint.memo`) is cleared before every repeat, so they keep
 meaning a from-scratch pass.  ``lint_warm_ms`` (not guarded) times the
-same plan linted again with the memo warm, as the ``PlanGuard`` sees
-an unchanged fleet.
+same plan linted again with the descriptor memo warm, so it measures
+what the analyses cost once no descriptor is parsed twice.  The
+``PlanGuard`` never lints an unchanged fleet: it lints the target
+node of each deploy, whose unit has just changed, and the fleet-wide
+checks.
 """
 
 import time

@@ -46,12 +46,13 @@ class FaultEngine:
         self.watchdog = None
         self._armed = False
         self._original_factory = None
-        self._descriptor_filters = []
         self._injectors = [make_injector(spec, index)
                            for index, spec in enumerate(self.plan.faults)]
-        self._factory_injectors = [injector
-                                   for injector in self._injectors
-                                   if injector.factory_kind]
+        #: Interception point -> the injectors hooked there, plan order.
+        self._hooks = {"container": [], "descriptor": []}
+        for injector in self._injectors:
+            if injector.hook is not None:
+                self._hooks[injector.hook].append(injector)
         metrics = platform.telemetry.registry("faults")
         self._metrics = metrics
         self._m_injected = metrics.counter("injected_total")
@@ -73,9 +74,11 @@ class FaultEngine:
         if self.plan.watchdog is not None:
             self.watchdog = Watchdog(self.kernel,
                                      **self.plan.watchdog).start()
-        if self._factory_injectors:
+        if self._hooks["container"]:
             self._original_factory = self.drcr._container_factory
             self.drcr._container_factory = self._intercept_factory
+        if self._hooks["descriptor"]:
+            self.drcr.descriptor_filter = self._filter_descriptor
         for injector in self._injectors:
             injector.arm(self)
         return self
@@ -95,7 +98,8 @@ class FaultEngine:
         if self._original_factory is not None:
             self.drcr._container_factory = self._original_factory
             self._original_factory = None
-        if self.drcr.descriptor_filter is self._filter_descriptor:
+        # == not is: each attribute read builds a new bound method.
+        if self.drcr.descriptor_filter == self._filter_descriptor:
             self.drcr.descriptor_filter = None
 
     # ------------------------------------------------------------------
@@ -103,21 +107,15 @@ class FaultEngine:
     # ------------------------------------------------------------------
     def _intercept_factory(self, component, drcr):
         container = self._original_factory(component, drcr)
-        for injector in self._factory_injectors:
+        for injector in self._hooks["container"]:
             container = injector.wrap_container(self, component,
                                                 container)
         return container
 
-    def add_descriptor_filter(self, filter_fn):
-        """Register a descriptor corruption filter (installs the DRCR
-        hook on first use)."""
-        if not self._descriptor_filters:
-            self.drcr.descriptor_filter = self._filter_descriptor
-        self._descriptor_filters.append(filter_fn)
-
     def _filter_descriptor(self, xml_text, bundle, path):
-        for filter_fn in self._descriptor_filters:
-            xml_text = filter_fn(self, xml_text, bundle, path)
+        for injector in self._hooks["descriptor"]:
+            xml_text = injector.filter_descriptor(self, xml_text, bundle,
+                                                  path)
         return xml_text
 
     # ------------------------------------------------------------------

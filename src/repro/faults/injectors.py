@@ -1,8 +1,12 @@
 """The injectors: one class per :class:`~repro.faults.plan.FaultKind`.
 
-Each injector arms itself against a live platform (scheduling simulator
-events, wrapping containers, registering hostile services) and reports
-every perturbation back through the owning
+:class:`Injector` owns the lifecycle, so a kind writes only its
+perturbation.  A *scheduled* kind sets ``label`` and implements
+``perturb(engine, component)``; one with no component target
+overrides ``fire`` instead.  An *intercepting* kind sets ``hook`` to
+``"container"`` (implementing ``wrap_container``) or ``"descriptor"``
+(``filter_descriptor``) and decides through ``_take``.  Every
+perturbation is reported to the owning
 :class:`~repro.faults.engine.FaultEngine`, which counts it in the
 ``faults`` metrics registry and records a ``fault_inject`` trace row.
 
@@ -12,7 +16,10 @@ parser, the resolving-service consultation -- never test-only seams, so
 what a chaos run exercises is exactly what production runs.
 """
 
-from repro.core.resolving import ResolvingService
+from repro.core.resolving import (
+    RESOLVING_SERVICE_INTERFACE,
+    ResolvingService,
+)
 from repro.faults.plan import (
     FaultInjectionError,
     FaultKind,
@@ -28,60 +35,80 @@ class ResolverTimeoutError(FaultInjectionError):
 class Injector:
     """Base: one armed :class:`FaultSpec`."""
 
-    #: Kinds that intercept container creation instead of scheduling.
-    factory_kind = False
+    #: Simulator event label of a scheduled kind's firing.
+    label = None
+    #: Interception point of an intercepting kind (``"container"`` or
+    #: ``"descriptor"``); None for scheduled kinds.
+    hook = None
 
     def __init__(self, spec, index):
         self.spec = spec
         self.index = index
+        #: Interceptions left (``count``; intercepting kinds only).
+        self.remaining = spec.count
 
     def arm(self, engine):
-        """Schedule/install this injector against the platform."""
+        """Schedule :meth:`fire` at ``at_ns`` (scheduled kinds; the
+        engine installs the hooks of intercepting kinds)."""
+        if self.hook is None:
+            engine.sim.schedule_at(self.spec.at_ns, self.fire, engine,
+                                   label=self.label)
+
+    def fire(self, engine):
+        """Perturb every instantiated matching component whose gate
+        opens."""
+        targets = [component
+                   for component in engine.drcr.registry.all()
+                   if self.spec.matches(component.name)
+                   and component.is_instantiated]
+        if not targets:
+            engine.record_skip(self.spec, "no instantiated target")
+            return
+        for component in targets:
+            if self._gate(engine):
+                self.perturb(engine, component)
+
+    def perturb(self, engine, component):
+        """Apply this kind's fault to one target component."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _stream(self, engine):
-        return engine.stream_for(self.index)
-
     def _gate(self, engine):
-        """Apply the spec's probability gate (deterministic per plan
-        seed)."""
-        if self.spec.probability >= 1.0:
+        """The spec's probability gate, drawn from this injector's
+        plan-seeded stream (no draw at probability 1.0); a closed gate
+        is recorded as a skip."""
+        probability = self.spec.probability
+        if probability >= 1.0 \
+                or engine.stream_for(self.index).random() < probability:
             return True
-        return self._stream(engine).random() < self.spec.probability
+        engine.record_skip(self.spec, "probability gate")
+        return False
 
-    def _targets(self, engine, instantiated=True):
-        """Deployed components this spec targets."""
-        return [component
-                for component in engine.drcr.registry.all()
-                if self.spec.matches(component.name)
-                and (not instantiated or component.is_instantiated)]
+    def _take(self, engine, name):
+        """Whether an intercepting kind perturbs the call for ``name``:
+        a count is left, the window has opened, the name matches and
+        the gate is open (the count is then spent)."""
+        if self.remaining <= 0 or engine.kernel.now < self.spec.at_ns \
+                or not self.spec.matches(name) or not self._gate(engine):
+            return False
+        self.remaining -= 1
+        return True
 
 
 class CrashInjector(Injector):
     """``crash``: fault the target's RT task at ``at_ns``, exactly as
     if the implementation body had raised."""
 
-    def arm(self, engine):
-        engine.sim.schedule_at(self.spec.at_ns, self._fire, engine,
-                               label="fault:crash")
+    label = "fault:crash"
 
-    def _fire(self, engine):
-        targets = self._targets(engine)
-        if not targets:
-            engine.record_skip(self.spec, "no instantiated target")
+    def perturb(self, engine, component):
+        task = component.container.task
+        if task is None:
+            engine.record_skip(self.spec, "no task")
             return
-        for component in targets:
-            if not self._gate(engine):
-                engine.record_skip(self.spec, "probability gate")
-                continue
-            task = component.container.task
-            if task is None:
-                engine.record_skip(self.spec, "no task")
-                continue
-            engine.record_injection(self.spec, target=component.name)
-            engine.kernel.inject_fault(task, FaultInjectionError(
-                "injected crash (plan %s)" % engine.plan.name))
+        engine.record_injection(self.spec, target=component.name)
+        engine.kernel.inject_fault(task, FaultInjectionError(
+            "injected crash (plan %s)" % engine.plan.name))
 
 
 class ActivationCrashInjector(Injector):
@@ -94,24 +121,11 @@ class ActivationCrashInjector(Injector):
     kernel task and bridge are reclaimed regardless.
     """
 
-    factory_kind = True
-
-    def __init__(self, spec, index):
-        super().__init__(spec, index)
-        self.remaining = spec.count
-
-    def arm(self, engine):
-        pass  # interception happens through wrap_container
+    hook = "container"
 
     def wrap_container(self, engine, component, container):
-        if self.remaining <= 0 or not self.spec.matches(component.name):
+        if not self._take(engine, component.name):
             return container
-        if engine.kernel.now < self.spec.at_ns:
-            return container
-        if not self._gate(engine):
-            engine.record_skip(self.spec, "probability gate")
-            return container
-        self.remaining -= 1
         engine.record_injection(self.spec, target=component.name)
         on_activate = self.spec.kind is FaultKind.CRASH_ON_ACTIVATE
         return _CrashingContainer(container, engine.plan.name,
@@ -153,25 +167,15 @@ class OverrunInjector(Injector):
     WCET.  Paired with a ``fault``-policy watchdog this exercises
     eviction + contract-preserving re-resolution."""
 
-    def arm(self, engine):
-        engine.sim.schedule_at(self.spec.at_ns, self._fire, engine,
-                               label="fault:overrun")
+    label = "fault:overrun"
 
-    def _fire(self, engine):
-        targets = self._targets(engine)
-        if not targets:
-            engine.record_skip(self.spec, "no instantiated target")
+    def perturb(self, engine, component):
+        implementation = component.container.implementation
+        if "compute_ns" in implementation.__dict__:
+            engine.record_skip(self.spec, "already wrapped")
             return
-        for component in targets:
-            implementation = component.container.implementation
-            if "compute_ns" in implementation.__dict__:
-                engine.record_skip(self.spec, "already wrapped")
-                continue
-            engine.record_injection(self.spec, target=component.name,
-                                    factor=self.spec.factor)
-            self._wrap(engine, implementation)
-
-    def _wrap(self, engine, implementation):
+        engine.record_injection(self.spec, target=component.name,
+                                factor=self.spec.factor)
         original = implementation.compute_ns
         spec = self.spec
 
@@ -198,56 +202,41 @@ class MailboxDropInjector(Injector):
     capacity for the window, so every management send drops (the §3.2
     non-blocking discipline under a dead RT consumer)."""
 
-    def arm(self, engine):
-        engine.sim.schedule_at(self.spec.at_ns, self._fire, engine,
-                               label="fault:mbx_drop")
+    label = "fault:mbx_drop"
 
-    def _fire(self, engine):
-        targets = self._targets(engine)
-        if not targets:
-            engine.record_skip(self.spec, "no instantiated target")
+    def perturb(self, engine, component):
+        bridge = component.container.bridge
+        if bridge is None:
+            engine.record_skip(self.spec, "no bridge")
             return
-        for component in targets:
-            bridge = component.container.bridge
-            if bridge is None:
-                engine.record_skip(self.spec, "no bridge")
-                continue
-            mailbox = bridge.command_mailbox
-            engine.record_injection(self.spec, target=component.name)
-            original = mailbox.capacity
-            mailbox.resize(0)
-            engine.sim.schedule_at(
-                self.spec.end_ns, mailbox.resize, original,
-                label="fault:mbx_drop_end")
+        mailbox = bridge.command_mailbox
+        engine.record_injection(self.spec, target=component.name)
+        original = mailbox.capacity
+        mailbox.resize(0)
+        engine.sim.schedule_at(self.spec.end_ns, mailbox.resize,
+                               original, label="fault:mbx_drop_end")
 
 
 class MailboxFloodInjector(Injector):
     """``mailbox_flood``: fill the target's command mailbox with
     injected PINGs, so the next real management command overflows."""
 
-    def arm(self, engine):
-        engine.sim.schedule_at(self.spec.at_ns, self._fire, engine,
-                               label="fault:mbx_flood")
+    label = "fault:mbx_flood"
 
-    def _fire(self, engine):
-        targets = self._targets(engine)
-        if not targets:
-            engine.record_skip(self.spec, "no instantiated target")
+    def perturb(self, engine, component):
+        bridge = component.container.bridge
+        if bridge is None:
+            engine.record_skip(self.spec, "no bridge")
             return
-        for component in targets:
-            bridge = component.container.bridge
-            if bridge is None:
-                engine.record_skip(self.spec, "no bridge")
-                continue
-            flooded = 0
-            while not bridge.command_mailbox.full:
-                command = bridge.send_command(CommandKind.PING)
-                if command is None:
-                    break
-                command.injected = True
-                flooded += 1
-            engine.record_injection(self.spec, target=component.name,
-                                    flooded=flooded)
+        flooded = 0
+        while not bridge.command_mailbox.full:
+            command = bridge.send_command(CommandKind.PING)
+            if command is None:
+                break
+            command.injected = True
+            flooded += 1
+        engine.record_injection(self.spec, target=component.name,
+                                flooded=flooded)
 
 
 class DescriptorCorruptInjector(Injector):
@@ -256,24 +245,11 @@ class DescriptorCorruptInjector(Injector):
     ``_deploy_bundle`` contains the damage to the corrupt component and
     keeps deploying the rest of the bundle."""
 
-    def __init__(self, spec, index):
-        super().__init__(spec, index)
-        self.remaining = spec.count
+    hook = "descriptor"
 
-    def arm(self, engine):
-        engine.add_descriptor_filter(self._filter)
-
-    def _filter(self, engine, xml_text, bundle, path):
-        if self.remaining <= 0:
+    def filter_descriptor(self, engine, xml_text, bundle, path):
+        if not self._take(engine, bundle.symbolic_name):
             return xml_text
-        if engine.kernel.now < self.spec.at_ns:
-            return xml_text
-        if not self.spec.matches(bundle.symbolic_name):
-            return xml_text
-        if not self._gate(engine):
-            engine.record_skip(self.spec, "probability gate")
-            return xml_text
-        self.remaining -= 1
         engine.record_injection(self.spec, target=bundle.symbolic_name,
                                 path=path)
         return "<corrupted/>" + xml_text[:len(xml_text) // 2]
@@ -305,15 +281,14 @@ class ResolverTimeoutInjector(Injector):
     components admitted) -- both are asserted in
     ``tests/faults/test_injectors.py``."""
 
-    def arm(self, engine):
-        engine.sim.schedule_at(self.spec.at_ns, self._fire, engine,
-                               label="fault:resolver")
+    label = "fault:resolver"
 
-    def _fire(self, engine):
-        service = TimingOutResolvingService(engine.plan.name)
-        from repro.core.resolving import RESOLVING_SERVICE_INTERFACE
+    def fire(self, engine):
+        if not self._gate(engine):
+            return
         registration = engine.drcr.framework.registry.register(
-            RESOLVING_SERVICE_INTERFACE, service)
+            RESOLVING_SERVICE_INTERFACE,
+            TimingOutResolvingService(engine.plan.name))
         engine.record_injection(self.spec, target=self.spec.target)
         engine.sim.schedule_at(self.spec.end_ns, self._end,
                                registration, label="fault:resolver_end")
@@ -327,12 +302,12 @@ class ResolverTimeoutInjector(Injector):
 class ClusterInjector(Injector):
     """Base for federation-scope faults: needs ``engine.cluster``."""
 
-    def _cluster(self, engine):
+    def arm(self, engine):
         if engine.cluster is None:
             raise FaultPlanError(
                 "%s targets the cluster; arm the FaultEngine with "
                 "cluster=..." % self.spec.kind.value)
-        return engine.cluster
+        super().arm(engine)
 
 
 class NodeCrashInjector(ClusterInjector):
@@ -342,22 +317,17 @@ class NodeCrashInjector(ClusterInjector):
     survivors only find out through missed heartbeats, so detection
     and failover latency are part of what the experiment measures."""
 
-    def arm(self, engine):
-        self._cluster(engine)
-        engine.sim.schedule_at(self.spec.at_ns, self._fire, engine,
-                               label="fault:node_crash")
+    label = "fault:node_crash"
 
-    def _fire(self, engine):
-        cluster = self._cluster(engine)
-        node = cluster.nodes.get(self.spec.target)
+    def fire(self, engine):
+        node = engine.cluster.nodes.get(self.spec.target)
         if node is None or not node.alive:
             engine.record_skip(self.spec, "no such live node")
             return
         if not self._gate(engine):
-            engine.record_skip(self.spec, "probability gate")
             return
         engine.record_injection(self.spec, target=self.spec.target)
-        cluster.crash_node(self.spec.target)
+        engine.cluster.crash_node(self.spec.target)
 
 
 class PartitionInjector(ClusterInjector):
@@ -366,24 +336,17 @@ class PartitionInjector(ClusterInjector):
     Both directions block (in-flight messages included) until
     ``duration_ns`` elapses and the pair heals."""
 
-    def arm(self, engine):
-        self._cluster(engine)
-        engine.sim.schedule_at(self.spec.at_ns, self._fire, engine,
-                               label="fault:partition")
+    label = "fault:partition"
 
-    def _fire(self, engine):
-        cluster = self._cluster(engine)
-        a, b = self.spec.target.split("|")
+    def fire(self, engine):
         if not self._gate(engine):
-            engine.record_skip(self.spec, "probability gate")
             return
+        a, b = self.spec.target.split("|")
+        transport = engine.cluster.transport
         engine.record_injection(self.spec, target=self.spec.target)
-        cluster.transport.partition(a, b)
-        engine.sim.schedule(self.spec.duration_ns, self._heal,
-                            engine, a, b, label="fault:partition-heal")
-
-    def _heal(self, engine, a, b):
-        self._cluster(engine).transport.heal(a, b)
+        transport.partition(a, b)
+        engine.sim.schedule(self.spec.duration_ns, transport.heal, a, b,
+                            label="fault:partition-heal")
 
 
 #: FaultKind -> injector class.

@@ -20,6 +20,8 @@ import enum
 import json
 import math
 
+from repro.faults.recovery import QuarantinePolicy
+from repro.rtos.watchdog import Watchdog
 from repro.sim.engine import MSEC, USEC
 
 
@@ -66,13 +68,6 @@ WINDOW_KINDS = frozenset({
     FaultKind.RESOLVER_TIMEOUT, FaultKind.PARTITION,
 })
 
-#: Kinds that target the cluster rather than one platform; the
-#: :class:`~repro.faults.engine.FaultEngine` must be armed with a
-#: ``cluster=`` to use them.
-CLUSTER_KINDS = frozenset({
-    FaultKind.NODE_CRASH, FaultKind.PARTITION,
-})
-
 #: Kinds that fire a bounded number of times and honour ``count``.
 COUNT_KINDS = frozenset({
     FaultKind.CRASH_ON_ACTIVATE, FaultKind.CRASH_ON_DEACTIVATE,
@@ -92,6 +87,31 @@ def _number(data, field, default=None):
         raise FaultPlanError("%s must be a finite number, got %r"
                              % (field, value))
     return value
+
+
+def _recovery_config(field, config, required, check):
+    """Checked copy of a ``watchdog``/``quarantine`` object (None when
+    null or empty): ``required`` present, every value but ``policy`` a
+    finite number, and ``check`` -- the range rule its constructor
+    shares -- taking every key and passing every value; else a
+    :class:`FaultPlanError` naming the field."""
+    if config is not None and not isinstance(config, dict):
+        raise FaultPlanError("%s must be an object or null, got %r"
+                             % (field, config))
+    if not config:
+        return None
+    config = dict(config)
+    if required not in config:
+        raise FaultPlanError("%s config needs %s" % (field, required))
+    try:
+        for key in config:
+            if key != "policy":
+                _number(config, key)
+        check(**config)
+    except (TypeError, ValueError) as error:
+        # TypeError: a key ``check`` takes no argument for.
+        raise FaultPlanError("%s config: %s" % (field, error)) from None
+    return config
 
 
 def _time_field(data, base, default=None):
@@ -223,15 +243,11 @@ class FaultPlan:
         self.name = name
         self.seed = int(seed)
         self.faults = list(faults)
-        self.watchdog = dict(watchdog) if watchdog else None
-        self.quarantine = dict(quarantine) if quarantine else None
-        if self.watchdog is not None:
-            if "limit_ns" not in self.watchdog:
-                raise FaultPlanError("watchdog config needs limit_ns")
-        if self.quarantine is not None:
-            if "cooldown_ns" not in self.quarantine:
-                raise FaultPlanError(
-                    "quarantine config needs cooldown_ns")
+        self.watchdog = _recovery_config("watchdog", watchdog, "limit_ns",
+                                         Watchdog.check_config)
+        self.quarantine = _recovery_config(
+            "quarantine", quarantine, "cooldown_ns",
+            QuarantinePolicy.check_config)
 
     def to_dict(self):
         """Plain-data form (JSON round-trippable)."""
@@ -255,11 +271,6 @@ class FaultPlan:
         if not isinstance(faults, list):
             raise FaultPlanError("'faults' must be a list, got %r"
                                  % (faults,))
-        for field in ("watchdog", "quarantine"):
-            config = data.get(field)
-            if config is not None and not isinstance(config, dict):
-                raise FaultPlanError("%s must be an object or null, "
-                                     "got %r" % (field, config))
         return cls(data["name"],
                    seed=_number(data, "seed", 0),
                    faults=[FaultSpec.from_dict(item) for item in faults],

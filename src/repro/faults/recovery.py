@@ -78,14 +78,22 @@ class QuarantinePolicy:
     """
 
     def __init__(self, cooldown_ns=100_000_000, max_failures=3):
-        if cooldown_ns <= 0:
-            raise ValueError("cooldown must be positive")
-        if max_failures < 1:
-            raise ValueError("max_failures must be >= 1")
+        self.check_config(cooldown_ns, max_failures)
         self.cooldown_ns = int(cooldown_ns)
         self.max_failures = int(max_failures)
         #: component name -> lifetime fault count.
         self.failures = {}
+
+    @staticmethod
+    def check_config(cooldown_ns=100_000_000, max_failures=3):
+        """Raise ``ValueError`` naming the first constructor argument
+        out of range (numbers are assumed; fault plans check types)."""
+        if cooldown_ns <= 0:
+            raise ValueError("cooldown_ns must be positive, got %r"
+                             % (cooldown_ns,))
+        if max_failures < 1:
+            raise ValueError("max_failures must be >= 1, got %r"
+                             % (max_failures,))
 
     def record_failure(self, name):
         """Count one fault; returns the component's new total."""

@@ -179,11 +179,17 @@ class DeploymentPlan:
         self.applications = {}   # app name -> [member names]
         self.rule_sources = []   # (location, text)
         self.clashed = set()     # nodes the one-home rule took from
+        self._by_node = {}       # node name -> [PlanComponent], plan order
+
+    def add_component(self, comp):
+        """Append one assignment (plan order), grouped by its node."""
+        self.components.append(comp)
+        self._by_node.setdefault(comp.node, []).append(comp)
 
     def components_of(self, node_name):
-        """This node's components, plan order."""
-        return [comp for comp in self.components
-                if comp.node == node_name]
+        """This node's components, plan order (the plan's own list:
+        read it, never mutate it)."""
+        return self._by_node.get(node_name, ())
 
     def node_of(self):
         """``{component name: home node}`` for parseable components."""
@@ -337,7 +343,7 @@ def _parse_deployments(document, plan, base_dir, problems):
                     plan.clashed.add(node_name)
                     continue
                 homes[descriptor.name] = node_name
-            plan.components.append(PlanComponent(
+            plan.add_component(PlanComponent(
                 text, comp_location, node_name, descriptor))
 
 
@@ -773,7 +779,7 @@ def lint_plan_document(document, location="<plan>", families=None,
     listed component from; the fleet-wide checks see the whole plan.
     """
     # Local import: the engine imports this module at load time.
-    from repro.lint.engine import FAMILIES
+    from repro.lint.engine import FAMILIES, lint_descriptor_texts
     if families is None:
         families = FAMILIES
     plan, problems = parse_plan(document, location, base_dir=base_dir)
@@ -787,14 +793,14 @@ def lint_plan_document(document, location="<plan>", families=None,
     node_families = tuple(f for f in families
                           if f in ("contract", "wiring", "admission"))
     for node_name in _local_nodes(plan, nodes):
-        unit = tuple((comp.location, comp.xml)
-                     for comp in plan.components_of(node_name))
+        unit = [(comp.location, comp.xml)
+                for comp in plan.components_of(node_name)]
         if not unit:
             continue
         units += 1
         sources += len(unit)
         if node_families:
-            diagnostics.extend(memo.unit_findings(unit, node_families))
+            diagnostics.extend(lint_descriptor_texts(unit, node_families))
     if plan.rule_sources:
         from repro.lint import adaptrules
         for rule_location, rule_text in plan.rule_sources:

@@ -31,10 +31,10 @@ Beyond the :class:`FilterCache` text->filter memo, every
 each node becomes one ``props -> bool`` function with its attribute
 name, lowered fallback key and comparison bound as locals, so a
 ``matches`` call is a chain of direct calls with no per-call attribute
-dispatch, no ``_lookup`` helper frame, and an exact-key ``dict.get``
-fast path (the case-insensitive scan only runs when the exact key is
-absent).  The node classes keep their ``matches`` methods as the
-reference semantics; the compiled form must behave identically.
+dispatch and an exact-key ``dict.get`` fast path (the case-insensitive
+scan only runs when the exact key is absent).  The node classes hold
+the parse and the leaf comparisons (``_match_one``); the compiled
+closures are the only evaluator.
 """
 
 from repro.osgi.errors import InvalidFilterError
@@ -55,19 +55,12 @@ def escape(value):
 class FilterNode:
     """Base class for parsed filter nodes."""
 
-    def matches(self, props):
-        """Evaluate against a properties mapping."""
-        raise NotImplementedError
-
 
 class AndNode(FilterNode):
     """Conjunction of sub-filters."""
 
     def __init__(self, children):
         self.children = children
-
-    def matches(self, props):
-        return all(child.matches(props) for child in self.children)
 
     def __str__(self):
         return "(&%s)" % "".join(str(c) for c in self.children)
@@ -79,9 +72,6 @@ class OrNode(FilterNode):
     def __init__(self, children):
         self.children = children
 
-    def matches(self, props):
-        return any(child.matches(props) for child in self.children)
-
     def __str__(self):
         return "(|%s)" % "".join(str(c) for c in self.children)
 
@@ -91,9 +81,6 @@ class NotNode(FilterNode):
 
     def __init__(self, child):
         self.child = child
-
-    def matches(self, props):
-        return not self.child.matches(props)
 
     def __str__(self):
         return "(!%s)" % self.child
@@ -105,9 +92,6 @@ class PresentNode(FilterNode):
     def __init__(self, attr):
         self.attr = attr
 
-    def matches(self, props):
-        return _lookup(props, self.attr) is not _MISSING
-
     def __str__(self):
         return "(%s=*)" % self.attr
 
@@ -118,12 +102,6 @@ class SubstringNode(FilterNode):
     def __init__(self, attr, parts):
         self.attr = attr
         self.parts = parts  # list of literal chunks; '' marks wildcards
-
-    def matches(self, props):
-        value = _lookup(props, self.attr)
-        if value is _MISSING:
-            return False
-        return _any_value(value, self._match_one)
 
     def _match_one(self, value):
         text = str(value)
@@ -164,12 +142,6 @@ class CompareNode(FilterNode):
         self.op = op
         self.value = value
 
-    def matches(self, props):
-        actual = _lookup(props, self.attr)
-        if actual is _MISSING:
-            return False
-        return _any_value(actual, self._match_one)
-
     def _match_one(self, actual):
         expected = _coerce(self.value, actual)
         if expected is _MISSING:
@@ -192,24 +164,6 @@ class CompareNode(FilterNode):
 
 
 _MISSING = object()
-
-
-def _lookup(props, attr):
-    """Case-insensitive property lookup."""
-    if attr in props:
-        return props[attr]
-    lowered = attr.lower()
-    for key, value in props.items():
-        if isinstance(key, str) and key.lower() == lowered:
-            return value
-    return _MISSING
-
-
-def _any_value(value, predicate):
-    """Lists/tuples/sets match if any element matches (OSGi rule)."""
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return any(predicate(item) for item in value)
-    return predicate(value)
 
 
 def _coerce(text, actual):
@@ -245,9 +199,8 @@ def _approx(value):
 def _compile(node):
     """Compile a parsed node tree into a ``props -> bool`` closure.
 
-    Mirrors the ``matches`` methods exactly; two-child and/or gets a
-    short-circuit special case because ``(&(a=b)(c=d))`` dominates real
-    registry queries.
+    Two-child and/or gets a short-circuit special case because
+    ``(&(a=b)(c=d))`` dominates real registry queries.
     """
     if isinstance(node, AndNode):
         parts = [_compile(child) for child in node.children]

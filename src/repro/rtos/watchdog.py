@@ -25,11 +25,7 @@ class Watchdog:
 
     def __init__(self, kernel, limit_ns, check_period_ns=None,
                  policy="suspend"):
-        if limit_ns <= 0:
-            raise ValueError("limit must be positive")
-        if policy not in ("suspend", "fault"):
-            raise ValueError("policy must be 'suspend' or 'fault', "
-                             "got %r" % (policy,))
+        self.check_config(limit_ns, check_period_ns, policy)
         self.kernel = kernel
         self.limit_ns = int(limit_ns)
         self.check_period_ns = int(check_period_ns or limit_ns // 4
@@ -46,6 +42,23 @@ class Watchdog:
             "watchdog_interventions_total")
         self._m_suspends = metrics.counter("watchdog_suspends_total")
         self._m_evictions = metrics.counter("watchdog_evictions_total")
+
+    @staticmethod
+    def check_config(limit_ns, check_period_ns=None, policy="suspend"):
+        """Raise ``ValueError`` naming the first constructor argument
+        out of range (numbers are assumed; fault plans check types)."""
+        # Both are whole nanoseconds once truncated: a limit below 1
+        # polices every running task each nanosecond, and a period
+        # below 1 re-arms the check at the same instant forever.
+        if limit_ns < 1:
+            raise ValueError("limit_ns must be at least 1, got %r"
+                             % (limit_ns,))
+        if check_period_ns and check_period_ns < 1:
+            raise ValueError("check_period_ns must be at least 1 when "
+                             "given, got %r" % (check_period_ns,))
+        if policy not in ("suspend", "fault"):
+            raise ValueError("policy must be 'suspend' or 'fault', "
+                             "got %r" % (policy,))
 
     # ------------------------------------------------------------------
     def start(self):

@@ -1,8 +1,12 @@
 """Every injector against a live platform, plus schedule determinism."""
 
+import pytest
+
+from repro.cluster import Cluster
 from repro.core import ComponentState
 from repro.core.policies import UtilizationBoundPolicy
 from repro.faults import FaultEngine, FaultKind, FaultPlan, FaultSpec
+from repro.faults.plan import WINDOW_KINDS
 from repro.hybrid.protocol import CommandKind
 from repro.platform import build_platform
 from repro.rtos.kernel import KernelConfig
@@ -67,6 +71,54 @@ class TestDeterminism:
         # same way they did for the baseline.
         assert len(engine.injections) + len(engine.skips) \
             == len(baseline[0]) + len(baseline[1])
+
+
+class TestProbabilityGate:
+    """Every kind gates on ``probability``: per target for scheduled
+    kinds, per firing for resolver_timeout/node_crash/partition, per
+    intercepted call for the container and descriptor hooks."""
+
+    #: Plan seeds whose first ``fault/0`` draw is at least 0.01.
+    SEEDS = range(20)
+
+    @staticmethod
+    def gated_spec(kind):
+        target = {FaultKind.NODE_CRASH: "node1",
+                  FaultKind.PARTITION: "node0|node1"}.get(kind, "*")
+        return FaultSpec(kind, target, at_ns=0, probability=0.01,
+                         duration_ns=10 * MSEC
+                         if kind in WINDOW_KINDS else None,
+                         factor=50.0)
+
+    def run_gated(self, kind, seed):
+        """Arm one ``kind`` fault at probability 0.01 under plan
+        ``seed`` where it has exactly one target, firing or call."""
+        plan = FaultPlan("gate", seed=seed,
+                         faults=[self.gated_spec(kind)])
+        if kind in (FaultKind.NODE_CRASH, FaultKind.PARTITION):
+            cluster = Cluster(("node0", "node1"), seed=1)
+            try:
+                engine = FaultEngine(cluster.node("node0"), plan,
+                                     cluster=cluster).arm()
+                cluster.run_for(20 * MSEC)
+            finally:
+                cluster.shutdown()
+            return engine
+        platform = fresh_platform()
+        engine = FaultEngine(platform, plan).arm()
+        deploy(platform, make_descriptor_xml(
+            "GATE00", cpuusage=0.02, frequency=100, priority=2))
+        platform.run_for(20 * MSEC)
+        return engine
+
+    @pytest.mark.parametrize("kind", list(FaultKind),
+                             ids=[kind.value for kind in FaultKind])
+    def test_low_probability_injects_nothing(self, kind):
+        for seed in self.SEEDS:
+            engine = self.run_gated(kind, seed)
+            assert engine.injections == [], seed
+            assert [reason for _, _, reason in engine.skips] \
+                == ["probability gate"], seed
 
 
 class TestCrash:
@@ -195,6 +247,24 @@ class TestDescriptorCorrupt:
         assert platform.drcr.component_state("OKAY00") \
             is ComponentState.ACTIVE
         assert len(engine.injections) == 1
+
+
+class TestDisarm:
+    def test_disarm_removes_both_hooks(self, platform):
+        factory = platform.drcr._container_factory
+        plan = FaultPlan("t", faults=[
+            FaultSpec(FaultKind.CRASH_ON_ACTIVATE, "*"),
+            FaultSpec(FaultKind.DESCRIPTOR_CORRUPT, "*")])
+        engine = FaultEngine(platform, plan).arm()
+        assert platform.drcr.descriptor_filter is not None
+        engine.disarm()
+        assert platform.drcr._container_factory is factory
+        assert platform.drcr.descriptor_filter is None
+        deploy(platform, make_descriptor_xml(
+            "KEPT00", cpuusage=0.02, frequency=100, priority=2))
+        assert platform.drcr.component_state("KEPT00") \
+            is ComponentState.ACTIVE
+        assert engine.injections == []
 
 
 class TestResolverTimeout:

@@ -24,6 +24,23 @@ WRONG_TYPES = [
     pytest.param(("quarantine",), [100], id="quarantine-list"),
 ]
 
+#: One recovery-config key of the example plan set to a value the
+#: watchdog or quarantine policy would refuse, or a key neither takes,
+#: as ``(path, value)``.
+BAD_RECOVERY = [
+    pytest.param(("watchdog", "limit_ns"), None, id="watchdog-limit-null"),
+    pytest.param(("watchdog", "limit_ns"), 0.5, id="watchdog-limit-0.5"),
+    pytest.param(("watchdog", "check_period_ns"), 0.5,
+                 id="watchdog-period-0.5"),
+    pytest.param(("watchdog", "limit_us"), 500, id="watchdog-unknown-key"),
+    pytest.param(("watchdog", "policy"), "reboot",
+                 id="watchdog-policy-reboot"),
+    pytest.param(("quarantine", "cooldown_ns"), -5,
+                 id="quarantine-cooldown-negative"),
+    pytest.param(("quarantine", "retries"), 2,
+                 id="quarantine-unknown-key"),
+]
+
 
 def example_with(path, value):
     """``example_plan().to_dict()`` with the field at ``path`` set to
@@ -136,6 +153,12 @@ class TestFaultPlan:
     def test_wrong_typed_field_is_a_plan_error(self, path, value):
         with pytest.raises(FaultPlanError, match=path[-1]):
             FaultPlan.from_dict(example_with(path, value))
+
+    @pytest.mark.parametrize("path, value", BAD_RECOVERY)
+    def test_bad_recovery_config_is_a_plan_error(self, path, value):
+        with pytest.raises(FaultPlanError, match=path[-1]) as raised:
+            FaultPlan.from_dict(example_with(path, value))
+        assert path[0] in str(raised.value)
 
     def test_watchdog_config_needs_limit(self):
         with pytest.raises(FaultPlanError):

@@ -37,8 +37,8 @@ def example_with(change):
     return json.dumps(data)
 
 
-#: Fault plans whose JSON parses but has the wrong shape, or a field
-#: of the wrong type.
+#: Fault plans whose JSON parses but has the wrong shape, a field of
+#: the wrong type, or a recovery config the machinery would refuse.
 MISSHAPEN_PLANS = {
     "number.json": "123",
     "null.json": "null",
@@ -53,6 +53,16 @@ MISSHAPEN_PLANS = {
         lambda data: data.update(watchdog=5)),
     "duration-list.json": example_with(
         lambda data: data["faults"][1].update(duration_ns=[1])),
+    "watchdog-limit-null.json": example_with(
+        lambda data: data["watchdog"].update(limit_ns=None)),
+    "watchdog-unknown-key.json": example_with(
+        lambda data: data["watchdog"].update(limit_us=500)),
+    "watchdog-policy-reboot.json": example_with(
+        lambda data: data["watchdog"].update(policy="reboot")),
+    "quarantine-cooldown-negative.json": example_with(
+        lambda data: data["quarantine"].update(cooldown_ns=-5)),
+    "quarantine-unknown-key.json": example_with(
+        lambda data: data["quarantine"].update(retries=2)),
 }
 
 
@@ -76,7 +86,10 @@ MISSHAPEN_PLANS = {
         "faults-plan-number", "faults-plan-null", "faults-entry-number",
         "faults-list-string", "faults-list-object", "faults-at-null",
         "faults-seed-null", "faults-watchdog-number",
-        "faults-duration-list",
+        "faults-duration-list", "faults-watchdog-limit-null",
+        "faults-watchdog-unknown-key", "faults-watchdog-policy-reboot",
+        "faults-quarantine-cooldown-negative",
+        "faults-quarantine-unknown-key",
         "trace-unwritable", "metrics-unwritable", "cluster-seconds-0",
         "cluster-seconds-negative", "cluster-utilization-0",
         "cluster-utilization-5", "cluster-no-migration-target",

@@ -166,15 +166,6 @@ def test_memos_are_bounded_and_serve_repeat_lints():
     assert after.misses == before.misses
     assert after.hits > before.hits
     assert after.maxsize == memo.DESCRIPTOR_MEMO_SIZE
-    assert memo._unit_findings.cache_info().maxsize \
-        == memo.UNIT_MEMO_SIZE
-
-
-def test_unit_findings_returns_a_fresh_list():
-    unit = (("a.xml", SCHEMA_XML),)
-    first = memo.unit_findings(unit, ("contract",))
-    first.clear()
-    assert memo.unit_findings(unit, ("contract",))
 
 
 # ----------------------------------------------------------------------
