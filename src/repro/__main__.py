@@ -139,8 +139,12 @@ def main(argv=None):
     platform.start_timer(1 * MSEC)
     engine = None
     if plan is not None:
-        from repro.faults import FaultEngine
-        engine = FaultEngine(platform, plan).arm()
+        from repro.faults import FaultEngine, FaultPlanError
+        try:
+            engine = FaultEngine(platform, plan).arm()
+        except FaultPlanError as error:
+            platform.shutdown()
+            return _unusable("--faults %s: %s" % (args.faults, error))
     for name, xml in (("demo.calc", CALC_XML), ("demo.disp", DISP_XML)):
         platform.install_and_start(
             {"Bundle-SymbolicName": name,

@@ -61,6 +61,10 @@ ACTION_LATENCY_BOUNDS_NS = (
 #: Bounded length of :attr:`AdaptationController.history`.
 HISTORY_LIMIT = 256
 
+#: Most actions one epoch executes (the evaluator drops the rest as
+#: ``conflict`` suppressions).
+MAX_ACTIONS_PER_EPOCH = 8
+
 
 class ActionError(RuntimeError):
     """An action could not be executed (unknown component, no cluster,
@@ -71,43 +75,38 @@ class AdaptationController:
     """Close the telemetry -> rules -> management loop (see module
     docstring).
 
-    ``platform`` may be anything platform-shaped (``sim`` /
-    ``framework`` / ``drcr`` / ``kernel`` / ``telemetry`` attributes;
-    :class:`~repro.platform.Platform` and
-    :class:`~repro.cluster.node.ClusterNode` both qualify); pass
-    ``cluster=`` instead for fleet-scope adaptation.  ``degradation``
-    is an optional
+    Pass exactly one of ``platform`` (a
+    :class:`~repro.platform.Platform`, which includes a
+    :class:`~repro.cluster.node.ClusterNode`) and ``cluster=`` (a
+    :class:`~repro.cluster.federation.Cluster`, for fleet-scope
+    adaptation).  Everything else the controller needs is read from
+    it; ``set_degradation_cap`` acts on the
     :class:`~repro.faults.recovery.GracefulDegradationService` the
-    ``set_degradation_cap`` action adjusts.
+    platform's DRCR consults.
     """
 
-    def __init__(self, platform=None, *, cluster=None, sim=None,
-                 framework=None, drcr=None, kernel=None,
-                 telemetry=None, epoch_ns=DEFAULT_EPOCH_NS,
-                 max_actions_per_epoch=8, degradation=None,
-                 providers=(), rules=None):
-        if platform is not None:
-            sim = sim or platform.sim
-            framework = framework or platform.framework
-            drcr = drcr or platform.drcr
-            kernel = kernel or getattr(platform, "kernel", None)
-        if cluster is not None:
-            sim = sim or cluster.sim
-        if sim is None:
-            raise ValueError("AdaptationController needs a platform, "
-                             "a cluster, or an explicit sim")
+    def __init__(self, platform=None, *, cluster=None,
+                 epoch_ns=DEFAULT_EPOCH_NS, providers=(), rules=None):
+        if (platform is None) == (cluster is None):
+            raise ValueError("AdaptationController takes exactly one "
+                             "of a platform and cluster=")
         if epoch_ns <= 0:
             raise ValueError("epoch_ns must be positive")
-        self.sim = sim
-        self.framework = framework
-        self.drcr = drcr
         self.cluster = cluster
-        self.degradation = degradation
+        if cluster is None:
+            self.sim = platform.sim
+            self.framework = platform.framework
+            self.drcr = platform.drcr
+            scope = KernelContextProvider(platform.kernel)
+        else:
+            self.sim = cluster.sim
+            self.framework = None
+            self.drcr = None
+            scope = ClusterContextProvider(cluster)
         self.epoch_ns = epoch_ns
         self.evaluator = RuleEvaluator(
-            max_actions_per_epoch=max_actions_per_epoch)
-        telemetry = telemetry if telemetry is not None \
-            else sim.telemetry
+            max_actions_per_epoch=MAX_ACTIONS_PER_EPOCH)
+        telemetry = self.sim.telemetry
         self._metrics = metrics = telemetry.registry("adapt")
         self._m_epochs = metrics.counter("epochs_total")
         self._m_evaluated = metrics.counter("rules_evaluated_total")
@@ -125,19 +124,8 @@ class AdaptationController:
             "action_latency_ns", bounds=ACTION_LATENCY_BOUNDS_NS)
         self._m_rules_loaded = metrics.gauge("rules_loaded")
         self._m_context_params = metrics.gauge("context_params")
-        self._context_providers = []
-        if telemetry is not None and cluster is None:
-            self._context_providers.append(
-                TelemetryContextProvider(telemetry))
-        if kernel is not None:
-            self._context_providers.append(
-                KernelContextProvider(kernel))
-        if cluster is not None:
-            self._context_providers.append(
-                TelemetryContextProvider(cluster.sim.telemetry))
-            self._context_providers.append(
-                ClusterContextProvider(cluster))
-        self._context_providers.extend(providers)
+        self._context_providers = [TelemetryContextProvider(telemetry),
+                                   scope, *providers]
         self._rule_providers = []
         #: The rule providers of the last merge, and its result.
         self._merged_from = None
@@ -151,10 +139,6 @@ class AdaptationController:
     # ------------------------------------------------------------------
     # providers
     # ------------------------------------------------------------------
-    def add_context_provider(self, provider):
-        """Add a local context provider (sampled every epoch)."""
-        self._context_providers.append(provider)
-
     def add_rule_provider(self, provider):
         """Add a local rule provider (its rules are read when it joins;
         re-register to change rules)."""
@@ -359,11 +343,20 @@ class AdaptationController:
                 shed.append(victim)
             return "shed %s" % (", ".join(shed) or "nothing")
         if kind == "set_degradation_cap":
-            if self.degradation is None:
-                raise ActionError("no GracefulDegradationService "
-                                  "attached to this controller")
-            self.degradation.cap = float(action["cap"])
-            self._require_drcr().reconfigure()
+            from repro.faults.recovery import GracefulDegradationService
+            drcr = self._require_drcr()
+            # The resolvers the DRCR consults: its internal policy and
+            # its customized resolving services.
+            services = [service for service
+                        in [drcr.internal_policy]
+                        + drcr.customized_resolving_services()
+                        if isinstance(service, GracefulDegradationService)]
+            if not services:
+                raise ActionError("the DRCR consults no "
+                                  "GracefulDegradationService")
+            for service in services:
+                service.cap = float(action["cap"])
+            drcr.reconfigure()
             return "degradation cap -> %.2f" % action["cap"]
         if kind == "reconfigure":
             self._require_drcr().reconfigure(

@@ -239,44 +239,32 @@ class Cluster:
     coordinator_name = "control"
 
     def __init__(self, node_names=("node0", "node1", "node2"), seed=0,
-                 num_cpus=1, kernel_config_factory=None,
-                 internal_policy_factory=None, container_factory=None,
-                 link=None, heartbeat_interval_ns=10 * MSEC,
-                 miss_limit=3, probe_fanout=2, indirect_fanout=2,
-                 timer_period_ns=MSEC, migration_timeout_ns=5 * MSEC,
-                 backoff=None, telemetry=None,
-                 per_link_histograms=None):
+                 kernel_config_factory=KernelConfig, link=None,
+                 heartbeat_interval_ns=10 * MSEC, miss_limit=3,
+                 timer_period_ns=MSEC, migration_timeout_ns=5 * MSEC):
         node_names = list(node_names)
         if len(set(node_names)) != len(node_names) or not node_names:
             raise ValueError("node names must be unique and non-empty")
         if self.coordinator_name in node_names:
             raise ValueError("%r is reserved for the coordinator"
                              % (self.coordinator_name,))
-        self.sim = Simulator(seed=seed, telemetry=telemetry)
-        self.transport = MessageTransport(
-            self.sim, default_link=link,
-            per_link_histograms=per_link_histograms)
-        if kernel_config_factory is None:
-            kernel_config_factory = lambda: KernelConfig(  # noqa: E731
-                num_cpus=num_cpus)
+        self.sim = Simulator(seed=seed)
+        self.transport = MessageTransport(self.sim, default_link=link)
         self._kernel_config_factory = kernel_config_factory
-        self._internal_policy_factory = internal_policy_factory
-        self._container_factory = container_factory
         self._timer_period_ns = int(timer_period_ns)
         self.nodes = {}
         for name in node_names:
             self._build_node(name)
         self.membership = MembershipService(
             self, heartbeat_interval_ns=heartbeat_interval_ns,
-            miss_limit=miss_limit, probe_fanout=probe_fanout,
-            indirect_fanout=indirect_fanout)
+            miss_limit=miss_limit)
         for node in self.nodes.values():
             node.membership = self.membership
         self.placement = ClusterPlacementService(self)
         self.plan_guard = None  # armed via install_plan_guard()
         self.transport.register(self.coordinator_name,
                                 self._on_message)
-        self.backoff = backoff or BackoffPolicy(
+        self.backoff = BackoffPolicy(
             initial_ns=migration_timeout_ns, factor=2.0,
             max_delay_ns=20 * migration_timeout_ns, max_attempts=4)
         self.deployments = {}   # component name -> home node name
@@ -310,13 +298,8 @@ class Cluster:
         self.membership.start()
 
     def _build_node(self, name):
-        policy = self._internal_policy_factory() \
-            if self._internal_policy_factory is not None else None
-        node = ClusterNode(
-            name, self.sim, self.transport,
-            kernel_config=self._kernel_config_factory(),
-            internal_policy=policy,
-            container_factory=self._container_factory)
+        node = ClusterNode(name, self.sim, self.transport,
+                           kernel_config=self._kernel_config_factory())
         node.start_timer(self._timer_period_ns)
         self.nodes[name] = node
         return node

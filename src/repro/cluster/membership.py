@@ -7,17 +7,17 @@ shape (probe + indirect ping + epidemic dissemination, bounded
 fanout), so per-interval traffic is O(n · fanout):
 
 * **Probing.**  Each protocol period every live node probes
-  ``probe_fanout`` peers chosen by a seeded shuffled round-robin
+  ``probe_fanout`` (2) peers chosen by a seeded shuffled round-robin
   (stream ``cluster/swim/<node>``, so runs reproduce exactly).  A
   probed node acks; probe and ack both ride the real transport, so
   latency, loss and partitions gate them like any other traffic.
 * **Indirect ping.**  A probe that goes unacked for a full period is
-  escalated: the prober asks ``indirect_fanout`` intermediaries to
+  escalated: the prober asks ``indirect_fanout`` (2) intermediaries to
   ping the target on its behalf (``ping_req`` -> ``ping`` ->
   ``ping_ack``, relayed back).  Only when the indirect round also
   comes back empty is the target marked **suspect**.
 * **Suspicion, incarnation, refutation.**  Suspicion is gossiped
-  epidemically: every probe/ack carries up to ``gossip_limit``
+  epidemically: every probe/ack carries up to ``gossip_limit`` (6)
   piggybacked ``(subject, status, incarnation)`` updates with a
   retransmission budget.  A node that hears *itself* suspected at an
   incarnation at least its own refutes: it increments its incarnation
@@ -33,8 +33,9 @@ fanout), so per-interval traffic is O(n · fanout):
 * **Fencing retries.**  ``fence`` is no longer fire-and-forget: the
   coordinator re-sends it under a
   :class:`~repro.faults.recovery.BackoffPolicy` (capped exponential
-  delay) until the node's undeploy-all ack arrives, counting attempts
-  in ``cluster.fence_attempts_total``.
+  delay, scaled to the heartbeat interval) until the node's
+  undeploy-all ack arrives, counting attempts in
+  ``cluster.fence_attempts_total``.
 
 Snapshots left the heartbeat path entirely: probe traffic carries no
 component state.  Replication is **pull-based anti-entropy** -- each
@@ -83,23 +84,24 @@ class _MemberState:
 class MembershipService:
     """The cluster-level SWIM prober, gossiper and failure detector."""
 
+    #: Peers each live node probes per protocol period.
+    probe_fanout = 2
+    #: Intermediaries asked to ping an unacked probe target.
+    indirect_fanout = 2
+    #: Piggybacked gossip updates carried per probe/ack.
+    gossip_limit = 6
+
     def __init__(self, cluster, heartbeat_interval_ns=10 * MSEC,
-                 miss_limit=3, probe_fanout=2, indirect_fanout=2,
-                 gossip_limit=6, fence_backoff=None):
+                 miss_limit=3):
         if heartbeat_interval_ns <= 0:
             raise ValueError("heartbeat interval must be positive")
         if miss_limit < 1:
             raise ValueError("miss limit must be >= 1")
-        if probe_fanout < 1 or indirect_fanout < 1:
-            raise ValueError("fanouts must be >= 1")
         self.cluster = cluster
         self.sim = cluster.sim
         self.heartbeat_interval_ns = int(heartbeat_interval_ns)
         self.miss_limit = int(miss_limit)
-        self.probe_fanout = int(probe_fanout)
-        self.indirect_fanout = int(indirect_fanout)
-        self.gossip_limit = int(gossip_limit)
-        self.fence_backoff = fence_backoff or BackoffPolicy(
+        self.fence_backoff = BackoffPolicy(
             initial_ns=self.heartbeat_interval_ns, factor=2.0,
             max_delay_ns=8 * self.heartbeat_interval_ns,
             max_attempts=64, jitter=0.1)

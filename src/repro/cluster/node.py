@@ -122,20 +122,16 @@ class NodeManagementService:
 class ClusterNode(Platform):
     """A federation member: kernel + framework + DRCR on a shared sim."""
 
-    def __init__(self, name, sim, transport, kernel_config=None,
-                 internal_policy=None, container_factory=None,
-                 placement=None):
+    def __init__(self, name, sim, transport, kernel_config=None):
         kernel = RTKernel(sim, kernel_config or KernelConfig())
         framework = Framework(telemetry=sim.telemetry)
-        drcr = DRCR(framework, kernel, internal_policy=internal_policy,
-                    container_factory=container_factory)
+        drcr = DRCR(framework, kernel)
         super().__init__(sim, kernel, framework, drcr)
         drcr.attach()
         self.name = name
         self.transport = transport
         # Node-local CPU choice; the cluster layer picks the node.
-        self.drcr.set_placement_service(
-            placement if placement is not None else BestFitPlacement())
+        self.drcr.set_placement_service(BestFitPlacement())
         self.stash = PendingPropertyStash(self.drcr)
         self.management = NodeManagementService(self)
         self.framework.registry.register(

@@ -25,9 +25,12 @@ class ClusterPlacementService:
     #: Policy name for traces and reports.
     name = "cluster-best-fit"
 
-    def __init__(self, cluster, cap=1.0):
+    #: Per-CPU budget of every slot (exported as each plan node's
+    #: ``cap``).
+    cap = 1.0
+
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.cap = cap
 
     def choose_node(self, cpu_usage, exclude=(), extra_load=None):
         """The node holding the least-loaded CPU slot that fits

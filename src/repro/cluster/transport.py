@@ -24,11 +24,11 @@ histogram and one ``link_latency_ns.<src>_to_<dst>`` histogram per
 link that carried traffic (see ``docs/OBSERVABILITY.md``).  Per-link
 histograms are gated at scale: beyond
 :data:`PER_LINK_HISTOGRAM_MAX_ENDPOINTS` registered endpoints a fleet
-has O(n²) links, so only the aggregate histogram is kept (override
-with ``per_link_histograms=True/False``).
+has O(n²) links, so only the aggregate histogram is kept.  The
+verdict is taken at the first delivery and kept for the run.
 """
 
-#: Above this many registered endpoints, per-link histograms default
+#: Above this many registered endpoints, per-link histograms are
 #: off -- a gossip-scale fleet has O(n²) directed links and the
 #: registry would drown in instruments.
 PER_LINK_HISTOGRAM_MAX_ENDPOINTS = 32
@@ -92,14 +92,12 @@ class MessageTransport:
     :class:`~repro.faults.recovery.BackoffPolicy` idiom.
     """
 
-    def __init__(self, sim, default_link=None,
-                 per_link_histograms=None):
+    def __init__(self, sim, default_link=None):
         self.sim = sim
         self.default_link = default_link or LinkSpec()
         # None = decide from the fleet size at first delivery; the
         # verdict is latched so a mid-run crash cannot flip it.
-        self.per_link_histograms = per_link_histograms
-        self._per_link_enabled = per_link_histograms
+        self._per_link_enabled = None
         self._handlers = {}
         self._links = {}
         self._partitioned = set()
@@ -125,10 +123,6 @@ class MessageTransport:
     def unregister(self, name):
         """Detach a node; in-flight messages to it will drop."""
         self._handlers.pop(name, None)
-
-    def is_registered(self, name):
-        """Whether ``name`` currently receives messages."""
-        return name in self._handlers
 
     # ------------------------------------------------------------------
     # link configuration

@@ -88,15 +88,16 @@ class DRCR:
     """
 
     def __init__(self, framework, kernel, internal_policy=None,
-                 container_factory=None, placement_service=None):
+                 container_factory=None):
         self.framework = framework
         self.kernel = kernel
         self.registry = ComponentRegistry()
         self.events = ComponentEventLog()
         self.internal_policy = internal_policy or UtilizationBoundPolicy()
         #: Optional :class:`~repro.core.placement.PlacementService`
-        #: consulted before admission to re-pin candidates to a CPU.
-        self.placement_service = placement_service
+        #: consulted before admission to re-pin candidates to a CPU
+        #: (install one with :meth:`set_placement_service`).
+        self.placement_service = None
         if container_factory is None:
             from repro.hybrid.container import default_container_factory
             container_factory = default_container_factory
@@ -573,10 +574,6 @@ class DRCR:
     def component_state(self, name):
         """Shorthand: the lifecycle state of ``name``."""
         return self.registry.get(name).state
-
-    def global_view(self, candidate=None):
-        """A :class:`GlobalView` snapshot (used by policies/tests)."""
-        return GlobalView(self.registry, self.kernel, candidate)
 
     def customized_resolving_services(self):
         """Currently registered customized resolving services."""

@@ -18,15 +18,20 @@ independent of the simulation's master seed -- so the same plan
 produces the same fault schedule on any platform.
 """
 
-from repro.faults.injectors import make_injector
-from repro.faults.plan import load_plan
+from repro.faults.injectors import ClusterInjector, make_injector
+from repro.faults.plan import FaultPlanError, load_plan
 from repro.faults.recovery import QuarantinePolicy
 from repro.rtos.watchdog import Watchdog
 from repro.sim.rng import RandomStreams
 
 
 class FaultEngine:
-    """Arms and tracks one fault plan on one platform."""
+    """Arms and tracks one fault plan on one platform.
+
+    A plan with a federation-scope fault (``node_crash``/``partition``)
+    needs ``cluster=``; without one, construction raises
+    :class:`~repro.faults.plan.FaultPlanError` before anything touches
+    the platform."""
 
     def __init__(self, platform, plan, cluster=None):
         self.platform = platform
@@ -35,6 +40,13 @@ class FaultEngine:
         #: ``platform`` is then typically one of its nodes.
         self.cluster = cluster
         self.plan = load_plan(plan)
+        self._injectors = [make_injector(spec, index)
+                           for index, spec in enumerate(self.plan.faults)]
+        for injector in self._injectors:
+            if cluster is None and isinstance(injector, ClusterInjector):
+                raise FaultPlanError(
+                    "%s targets the cluster; build the FaultEngine "
+                    "with cluster=..." % injector.spec.kind.value)
         self.sim = platform.sim
         self.kernel = platform.kernel
         self.drcr = platform.drcr
@@ -46,8 +58,6 @@ class FaultEngine:
         self.watchdog = None
         self._armed = False
         self._original_factory = None
-        self._injectors = [make_injector(spec, index)
-                           for index, spec in enumerate(self.plan.faults)]
         #: Interception point -> the injectors hooked there, plan order.
         self._hooks = {"container": [], "descriptor": []}
         for injector in self._injectors:

@@ -20,11 +20,7 @@ from repro.core.resolving import (
     RESOLVING_SERVICE_INTERFACE,
     ResolvingService,
 )
-from repro.faults.plan import (
-    FaultInjectionError,
-    FaultKind,
-    FaultPlanError,
-)
+from repro.faults.plan import FaultInjectionError, FaultKind
 from repro.hybrid.protocol import CommandKind
 
 
@@ -300,14 +296,9 @@ class ResolverTimeoutInjector(Injector):
 
 
 class ClusterInjector(Injector):
-    """Base for federation-scope faults: needs ``engine.cluster``."""
-
-    def arm(self, engine):
-        if engine.cluster is None:
-            raise FaultPlanError(
-                "%s targets the cluster; arm the FaultEngine with "
-                "cluster=..." % self.spec.kind.value)
-        super().arm(engine)
+    """Base for federation-scope faults: needs ``engine.cluster``
+    (:class:`~repro.faults.engine.FaultEngine` refuses to build
+    without one)."""
 
 
 class NodeCrashInjector(ClusterInjector):

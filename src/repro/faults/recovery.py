@@ -18,7 +18,6 @@ fault-injection subsystem exercises:
   declared utilization exceeds its cap.
 """
 
-from repro.core.lifecycle import ComponentState
 from repro.core.placement import fits
 from repro.core.resolving import Decision, ResolvingService
 
@@ -177,14 +176,13 @@ class GracefulDegradationService(ResolvingService):
 
     def revalidate(self, component, view):
         cpu = component.contract.cpu
-        admitted = [peer for peer in view.registry.active()
-                    if peer.contract.cpu == cpu
-                    and peer.state is not ComponentState.DEACTIVATING]
-        total = sum(peer.contract.cpu_usage for peer in admitted)
+        total = view.declared_utilization(cpu, include_candidate=False)
         if fits(total, self.cap):
             return Decision.yes("cpu %d within budget" % cpu)
         victims = set()
-        remaining = sorted(admitted, key=_importance_key)
+        remaining = sorted((peer for peer in view.registry.active()
+                            if peer.contract.cpu == cpu),
+                           key=_importance_key)
         while remaining and not fits(total, self.cap):
             victim = remaining.pop()  # least important last
             victims.add(victim.name)

@@ -20,8 +20,7 @@ from repro.rtos.task import TaskType
 class HybridContainer:
     """One component's runtime instance: RT part + non-RT part."""
 
-    def __init__(self, component, kernel,
-                 implementation_registry=None, collect_latency=True):
+    def __init__(self, component, kernel, implementation_registry=None):
         self.component = component
         self.kernel = kernel
         registry = implementation_registry or default_registry
@@ -32,7 +31,6 @@ class HybridContainer:
         self.rt_part = None
         self.nrt_part = None
         self.task = None
-        self.collect_latency = collect_latency
         self._active = False
 
     # ------------------------------------------------------------------
@@ -59,7 +57,7 @@ class HybridContainer:
             task_type=contract.task_type,
             period_ns=contract.period_ns,
             deadline_ns=contract.deadline_ns,
-            collect_latency=self.collect_latency,
+            collect_latency=True,
             hybrid=True,
         )
         self.ctx.task = self.task
@@ -128,13 +126,12 @@ def default_container_factory(component, drcr):
     return HybridContainer(component, drcr.kernel)
 
 
-def make_container_factory(implementation_registry=None,
-                           collect_latency=True):
-    """Build a customized container factory (e.g. a strict bincode
-    registry, or latency collection disabled for big fleets)."""
+def make_container_factory(implementation_registry=None):
+    """Build a container factory whose components take their
+    implementations from ``implementation_registry`` (e.g. a strict
+    bincode registry)."""
     def factory(component, drcr):
         return HybridContainer(
             component, drcr.kernel,
-            implementation_registry=implementation_registry,
-            collect_latency=collect_latency)
+            implementation_registry=implementation_registry)
     return factory

@@ -7,8 +7,8 @@ is admitted it lints the candidate **together with** the already-
 admitted fleet and vetoes the admission when that marginal addition
 introduces new findings at or above the configured severity.
 
-Only the ``contract`` and ``admission`` families run by default.  The
-``wiring`` family is deliberately excluded: an unsatisfied inport is
+Only the ``contract``, ``admission`` and ``stochastic`` families run.
+The ``wiring`` family is deliberately excluded: an unsatisfied inport is
 the DRCR's own functional-resolution business (the component simply
 waits in UNSATISFIED), not an admission veto.
 
@@ -35,17 +35,15 @@ class LintResolvingService(ResolvingService):
     fail_on:
         Minimum :class:`~repro.lint.diagnostics.Severity` that vetoes
         an admission (default: ``ERROR``).
-    families:
-        Analyzer families to run (default: contract + admission +
-        stochastic).
     """
 
     name = "drtlint"
 
-    def __init__(self, fail_on=Severity.ERROR,
-                 families=_DEFAULT_FAMILIES):
+    #: Analyzer families to run: contract + admission + stochastic.
+    families = _DEFAULT_FAMILIES
+
+    def __init__(self, fail_on=Severity.ERROR):
         self.fail_on = fail_on
-        self.families = tuple(families)
 
     def admit(self, candidate, view):
         """Veto when adding the candidate introduces new findings."""

@@ -27,6 +27,9 @@ from repro.monitor.gof import chi_square_gof, equal_probability_edges
 #: check, not a trace recorder, so the window is bounded.
 MAX_SAMPLES_PER_EPOCH = 4096
 
+#: Equal-probability cells per chi-square test.
+BUCKETS = 8
+
 
 class StochasticViolation(DRComError):
     """A component's observed timing rejected its declared
@@ -92,12 +95,10 @@ class ContractMonitor:
     Parameters
     ----------
     platform:
-        A :class:`~repro.platform.Platform`; or pass ``drcr`` and
-        ``kernel`` explicitly.
+        The :class:`~repro.platform.Platform` whose DRCR-managed
+        components are checked.
     epoch_ns:
         Sim-time between check rounds.
-    buckets:
-        Equal-probability cells per chi-square test.
     patience:
         Consecutive failed checks (p-value below the contract's
         tolerance) before a violation is declared.  ``1`` reacts
@@ -109,22 +110,14 @@ class ContractMonitor:
         counts/exports (observe-only mode).
     """
 
-    def __init__(self, platform=None, *, drcr=None, kernel=None,
-                 epoch_ns=DEFAULT_MONITOR_EPOCH_NS, buckets=8,
+    def __init__(self, platform, *, epoch_ns=DEFAULT_MONITOR_EPOCH_NS,
                  patience=2, quarantine=True):
-        if platform is not None:
-            drcr = platform.drcr
-            kernel = platform.kernel
-        if drcr is None or kernel is None:
-            raise ValueError(
-                "ContractMonitor needs a platform or drcr+kernel")
-        self.drcr = drcr
-        self.kernel = kernel
-        self.sim = kernel.sim
+        self.drcr = platform.drcr
+        self.kernel = platform.kernel
+        self.sim = platform.sim
         self.epoch_ns = int(epoch_ns)
         if self.epoch_ns <= 0:
             raise ValueError("epoch_ns must be positive")
-        self.buckets = int(buckets)
         self.patience = max(1, int(patience))
         self.quarantine = bool(quarantine)
         self._metrics = self.sim.telemetry.registry("contracts")
@@ -221,8 +214,7 @@ class ContractMonitor:
                     # declared arrival distribution is meaningless
                     # (drtlint flags it as DRT700).
                     continue
-                edges[clause] = equal_probability_edges(
-                    spec, self.buckets)
+                edges[clause] = equal_probability_edges(spec, BUCKETS)
                 gauges[clause] = self._metrics.gauge(
                     "p_value.%s.%s" % (name, clause))
             if not edges:

@@ -34,6 +34,18 @@ itself and are accounted for in the calibration constants below.
 #: it so the *measured* latency lands on the paper's figures.
 DEFAULT_DISPATCH_COST_NS = 1000
 
+#: Mean shift a hybrid (HRC) task's management-mailbox poll imposes on
+#: the wakeup path, per mode.  Calibrated against Table 1 (light: HRC
+#: ~700 ns earlier on average; stress: ~100 ns later); both are an
+#: order of magnitude below the mode's AVEDEV, i.e. the "no much
+#: difference" the paper reports.
+HYBRID_SHIFT_LIGHT_NS = -700
+HYBRID_SHIFT_STRESS_NS = 100
+
+#: Linux-domain demand fraction at and above which the stress profile
+#: is used.
+BUSY_THRESHOLD = 0.75
+
 
 class LatencyProfile:
     """Distribution parameters for one (mode, implementation) cell.
@@ -99,17 +111,10 @@ def _stress_profile(extra_shift_ns):
 class LatencyModel:
     """Samples timer fire offsets for periodic releases.
 
-    Parameters
-    ----------
-    hybrid_shift_light_ns / hybrid_shift_stress_ns:
-        Mean shift a hybrid (HRC) task's management-mailbox poll imposes
-        on the wakeup path, per mode.  Calibrated against Table 1
-        (light: HRC ~700 ns earlier on average; stress: ~100 ns later);
-        both are an order of magnitude below the mode's AVEDEV, i.e. the
-        "no much difference" the paper reports.
-    busy_threshold:
-        Linux-domain demand fraction above which the stress profile is
-        used.
+    One :class:`LatencyProfile` per (mode, hybrid) cell, calibrated
+    against Table 1: :data:`BUSY_THRESHOLD` picks the mode and
+    :data:`HYBRID_SHIFT_LIGHT_NS` / :data:`HYBRID_SHIFT_STRESS_NS`
+    shift the hybrid cells.
     """
 
     #: Class-level fast-path flag: when true, the kernel skips sampling
@@ -118,19 +123,17 @@ class LatencyModel:
     #: kernel construction (docs/PERFORMANCE.md).
     zero_offset = False
 
-    def __init__(self, hybrid_shift_light_ns=-700,
-                 hybrid_shift_stress_ns=100, busy_threshold=0.75):
-        self.busy_threshold = busy_threshold
+    def __init__(self):
         self._profiles = {
             ("light", False): _light_profile(0),
-            ("light", True): _light_profile(hybrid_shift_light_ns),
+            ("light", True): _light_profile(HYBRID_SHIFT_LIGHT_NS),
             ("stress", False): _stress_profile(0),
-            ("stress", True): _stress_profile(hybrid_shift_stress_ns),
+            ("stress", True): _stress_profile(HYBRID_SHIFT_STRESS_NS),
         }
 
     def mode_for(self, linux_demand):
         """Classify a Linux-domain demand fraction as light/stress."""
-        return "stress" if linux_demand >= self.busy_threshold else "light"
+        return "stress" if linux_demand >= BUSY_THRESHOLD else "light"
 
     def profile(self, mode, hybrid):
         """Return the :class:`LatencyProfile` for a (mode, hybrid) cell."""
@@ -155,9 +158,6 @@ class NullLatencyModel(LatencyModel):
     """
 
     zero_offset = True
-
-    def __init__(self):
-        super().__init__()
 
     def sample_release_offset(self, rng, task_name, linux_demand, hybrid):
         return 0

@@ -5,13 +5,19 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import ComponentState
 from repro.core.policies import UtilizationBoundPolicy
-from repro.faults import FaultEngine, FaultKind, FaultPlan, FaultSpec
+from repro.faults import (
+    FaultEngine,
+    FaultKind,
+    FaultPlan,
+    FaultPlanError,
+    FaultSpec,
+)
 from repro.faults.plan import WINDOW_KINDS
 from repro.hybrid.protocol import CommandKind
 from repro.platform import build_platform
 from repro.rtos.kernel import KernelConfig
 from repro.rtos.latency import NullLatencyModel
-from repro.sim.engine import MSEC, SEC
+from repro.sim.engine import MSEC, SEC, USEC
 
 from conftest import deploy, make_descriptor_xml
 
@@ -265,6 +271,38 @@ class TestDisarm:
         assert platform.drcr.component_state("KEPT00") \
             is ComponentState.ACTIVE
         assert engine.injections == []
+
+
+class TestClusterKindsNeedACluster:
+    @pytest.mark.parametrize("kind, target", [
+        (FaultKind.NODE_CRASH, "node1"),
+        (FaultKind.PARTITION, "node0|node1"),
+    ], ids=["node_crash", "partition"])
+    def test_refused_before_anything_is_armed(self, platform, kind,
+                                              target):
+        """A cluster kind on a bare platform fails at construction,
+        before the plan's watchdog, quarantine policy or interception
+        hooks touch the platform."""
+        factory = platform.drcr._container_factory
+        pending = platform.sim.pending_events
+        plan = FaultPlan(
+            "nc", seed=1,
+            watchdog={"limit_ns": 500 * USEC, "policy": "fault"},
+            quarantine={"cooldown_ns": 100 * MSEC},
+            faults=[
+                FaultSpec(FaultKind.CRASH_ON_ACTIVATE, "*"),
+                FaultSpec(FaultKind.DESCRIPTOR_CORRUPT, "*"),
+                FaultSpec(kind, target, at_ns=MSEC,
+                          duration_ns=10 * MSEC
+                          if kind in WINDOW_KINDS else None)])
+        with pytest.raises(FaultPlanError, match=kind.value):
+            FaultEngine(platform, plan)
+        assert platform.drcr.recovery_policy is None
+        assert platform.drcr.descriptor_filter is None
+        assert platform.drcr._container_factory is factory
+        # No watchdog check (nor any injector) was scheduled.
+        assert platform.sim.pending_events == pending
+        assert metric(platform, "faults.injected_total") == 0
 
 
 class TestResolverTimeout:

@@ -38,7 +38,8 @@ def example_with(change):
 
 
 #: Fault plans whose JSON parses but has the wrong shape, a field of
-#: the wrong type, or a recovery config the machinery would refuse.
+#: the wrong type, a recovery config the machinery would refuse, or a
+#: fault the single-platform demo has no cluster for.
 MISSHAPEN_PLANS = {
     "number.json": "123",
     "null.json": "null",
@@ -63,6 +64,10 @@ MISSHAPEN_PLANS = {
         lambda data: data["quarantine"].update(cooldown_ns=-5)),
     "quarantine-unknown-key.json": example_with(
         lambda data: data["quarantine"].update(retries=2)),
+    "node-crash.json": json.dumps({
+        "name": "nc", "seed": 1,
+        "faults": [{"kind": "node_crash", "target": "node1",
+                    "at_ns": 1000000}]}),
 }
 
 
@@ -89,7 +94,7 @@ MISSHAPEN_PLANS = {
         "faults-duration-list", "faults-watchdog-limit-null",
         "faults-watchdog-unknown-key", "faults-watchdog-policy-reboot",
         "faults-quarantine-cooldown-negative",
-        "faults-quarantine-unknown-key",
+        "faults-quarantine-unknown-key", "faults-node-crash",
         "trace-unwritable", "metrics-unwritable", "cluster-seconds-0",
         "cluster-seconds-negative", "cluster-utilization-0",
         "cluster-utilization-5", "cluster-no-migration-target",

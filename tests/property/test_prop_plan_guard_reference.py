@@ -38,6 +38,7 @@ from repro.cluster.federation import PlanGuard
 from repro.lint import lint_plan
 from repro.lint.deployment import PLAN_SCHEMA_VERSION
 from repro.lint.diagnostics import Severity
+from repro.rtos.kernel import KernelConfig
 from repro.sim.engine import MSEC
 from repro.telemetry.metrics import Telemetry
 
@@ -347,7 +348,9 @@ def test_nodes_restricts_only_the_node_local_checks(plan, index):
 def over_committed_fleet():
     """node1 carries three 0.6 claims on two CPUs (DRT301 with no
     component, DRT601 for AAA002); node0 carries BBB000 at 0.6."""
-    cluster = Cluster(("node0", "node1", "node2"), seed=3, num_cpus=2,
+    cluster = Cluster(("node0", "node1", "node2"), seed=3,
+                      kernel_config_factory=lambda: KernelConfig(
+                          num_cpus=2),
                       heartbeat_interval_ns=10 * MSEC)
     for index in range(3):
         cluster.deploy(make_descriptor_xml(
