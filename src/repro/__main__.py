@@ -56,6 +56,7 @@ from repro import build_platform
 from repro.core.inspection import system_report
 from repro.rtos.errors import UnknownObjectError
 from repro.sim.engine import MSEC, SEC
+from repro.telemetry.export import check_writable
 from repro.telemetry.metrics import Telemetry
 
 CALC_XML = """<?xml version="1.0" encoding="UTF-8"?>
@@ -134,6 +135,10 @@ def main(argv=None):
             plan = load_plan(args.faults)
         except (OSError, ValueError) as error:
             return _unusable("--faults %s: %s" % (args.faults, error))
+    try:
+        check_writable(args.trace, args.metrics)
+    except OSError as error:
+        return _unusable(error)
     telemetry = Telemetry(enabled=not args.no_telemetry)
     platform = build_platform(seed=2008, telemetry=telemetry)
     platform.start_timer(1 * MSEC)

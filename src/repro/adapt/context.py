@@ -357,18 +357,18 @@ class ClusterContextProvider(ContextProvider):
     Publishes the global ``alive_nodes``/``dead_nodes``/``migrations``/
     ``failovers`` parameters from the cluster's public API and
     telemetry, and delegates to one :class:`KernelContextProvider` per
-    member for the node-scoped parameters.  Nodes that crash simply
-    stop being sampled; their last values drop out of the context
-    (absent parameter = predicate false, see the evaluator).
+    member for the node-scoped parameters, created the first time an
+    epoch finds the member alive -- so a node joined later with
+    :meth:`~repro.cluster.federation.Cluster.add_node` publishes them
+    too.  Nodes that crash simply stop being sampled; their last
+    values drop out of the context (absent parameter = predicate
+    false, see the evaluator).
     """
 
     def __init__(self, cluster):
         self._cluster = cluster
         self._windows = _Windows()
-        self._per_node = {
-            name: KernelContextProvider(node.kernel, node=name)
-            for name, node in cluster.nodes.items()
-        }
+        self._per_node = {}
 
     def collect(self, now_ns):
         cluster = self._cluster
@@ -386,8 +386,10 @@ class ClusterContextProvider(ContextProvider):
         }
         for node in alive:
             provider = self._per_node.get(node.name)
-            if provider is not None:
-                context.update(provider.collect(now_ns))
+            if provider is None:
+                provider = self._per_node[node.name] = \
+                    KernelContextProvider(node.kernel, node=node.name)
+            context.update(provider.collect(now_ns))
             context[scoped("active_components", node.name)] = float(
                 len(node.drcr.registry.active()))
         return context

@@ -23,6 +23,7 @@ from repro.cluster.federation import Cluster, ClusterError
 from repro.cluster.transport import LinkSpec
 from repro.sim.engine import MSEC, SEC, USEC
 from repro.sim.rng import RandomStreams
+from repro.telemetry.export import check_writable
 from repro.workloads import generate_component_set
 
 
@@ -85,6 +86,7 @@ def main(argv=None):
     """Run the demo; returns a process exit code."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        check_writable(args.json, args.export_plan)
         link = LinkSpec(latency_ns=args.latency_us * USEC,
                         jitter_ns=args.jitter_us * USEC,
                         drop_probability=args.drop)
@@ -95,7 +97,7 @@ def main(argv=None):
             node_names=tuple("node%d" % i for i in range(args.nodes)),
             seed=args.seed, link=link,
             heartbeat_interval_ns=args.heartbeat_ms * MSEC)
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         return _unusable(error)
     print("== deploy: %d components over %d nodes =="
           % (len(descriptors), args.nodes))

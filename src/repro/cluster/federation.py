@@ -80,9 +80,16 @@ _PLACED_OUTCOMES = frozenset(
 
 
 def _usage(entry):
-    """Declared CPU claim of one catalog or snapshot entry."""
-    return ComponentDescriptor.from_xml(
-        entry["descriptor_xml"]).contract.cpu_usage
+    """Declared CPU claim of one catalog or snapshot entry, read
+    through the lint memo, so each distinct text is parsed once."""
+    # Lazy, as in PlanGuard._lint: the repro.lint package imports its
+    # engine, which transitively imports this package.
+    from repro.lint.memo import descriptor_facts
+    text = entry["descriptor_xml"]
+    descriptor = descriptor_facts(text).descriptor
+    if descriptor is None:  # raise the parse error from_xml raises
+        descriptor = ComponentDescriptor.from_xml(text)
+    return descriptor.contract.cpu_usage
 
 
 def _placed(report):

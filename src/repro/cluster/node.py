@@ -158,7 +158,11 @@ class ClusterNode(Platform):
         application groupings) differs from the cached copy -- the
         membership layer announces version changes to the coordinator
         in a tiny ``digest`` instead of shipping the full snapshot to
-        every peer every beat."""
+        every peer every beat.  The export is rebuilt and compared
+        whole on every call (each membership tick and each coordinator
+        pull), because live properties move with nearly every job;
+        the descriptor XML inside it is rendered once per descriptor
+        (:meth:`~repro.core.descriptor.ComponentDescriptor.to_xml`)."""
         snapshot = {
             "components": self.export_entries(),
             "applications": self.drcr.applications(),

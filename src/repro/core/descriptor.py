@@ -107,6 +107,9 @@ class ComponentDescriptor:
             deadline_ns=deadline_ns, cpu=cpu,
             min_interarrival_ns=min_interarrival_ns,
             stochastic=stochastic)
+        # to_xml's stored text and the CPU it was rendered for.
+        self._xml = None
+        self._xml_cpu = None
 
     # ------------------------------------------------------------------
     # derived views
@@ -270,7 +273,24 @@ class ComponentDescriptor:
         )
 
     def to_xml(self):
-        """Serialise back to descriptor XML (round-trips from_xml)."""
+        """Serialise back to descriptor XML (round-trips from_xml).
+
+        The text is rendered once and stored.  ``contract.cpu`` is the
+        one field anything assigns after construction (the DRCR's
+        placement service re-pins it), so the stored text is rendered
+        again only when that CPU differs from the one it was rendered
+        for; the result always equals :meth:`render_xml`.  Cluster
+        nodes export every hosted descriptor on every membership tick
+        (docs/PERFORMANCE.md, "Replication tick")."""
+        cpu = self.contract.cpu
+        if cpu != self._xml_cpu:
+            self._xml = self.render_xml()
+            self._xml_cpu = cpu
+        return self._xml
+
+    def render_xml(self):
+        """Render the descriptor XML afresh (what :meth:`to_xml`
+        stores)."""
         lines = ['<?xml version="1.0" encoding="UTF-8"?>']
         lines.append(
             '<drt:component xmlns:drt="%s" name="%s" desc="%s" type="%s" '

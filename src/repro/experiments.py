@@ -26,6 +26,7 @@ from repro.monitor.service import ContractMonitor
 from repro.platform import build_platform
 from repro.sim.engine import MSEC, SEC
 from repro.sim.rng import RandomStreams
+from repro.telemetry.export import check_writable
 from repro.workloads import (
     BURSTY_EXEC_MAX_NS,
     BURSTY_EXEC_MIN_NS,
@@ -459,6 +460,7 @@ def main(name, argv):
     args = parser.parse_args(argv)
     try:
         experiment = definition.from_args(args)
+        check_writable(args.json)
     except (ValueError, OSError) as error:
         parser.exit(2, "%s: %s\n" % (name, error))
     kwargs = {"seed": args.seed, "seconds": args.seconds,

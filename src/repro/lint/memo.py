@@ -1,23 +1,25 @@
 """Content-keyed memo of per-descriptor lint work.
 
-The XML of a deployed component never changes, yet the
-:class:`~repro.cluster.federation.PlanGuard` parses the whole fleet's
-plan on every deploy (and its baseline too when the candidate has a
-finding), and one plan lint reads every descriptor text twice (plan
-parse, then its node's unit).  :func:`descriptor_facts`, a bounded
-LRU memo keyed on the descriptor XML text, serves the repeats: the
-parsed :class:`~repro.core.descriptor.ComponentDescriptor` (or the
+The :class:`~repro.cluster.federation.PlanGuard` parses the whole
+fleet's plan on every deploy (and its baseline too when the candidate
+has a finding), one plan lint reads every descriptor text twice (plan
+parse, then its node's unit), and cluster placement reads the CPU
+claim of every deploy still in flight.  The texts repeat: a deployed
+component's XML changes only when the DRCR re-pins its CPU
+(``runoncpu``).  :func:`descriptor_facts`, a bounded LRU memo keyed on
+the descriptor XML text, serves the repeats: the parsed
+:class:`~repro.core.descriptor.ComponentDescriptor` (or the
 parse-error string) and the raw-schema DRT104/DRT107 findings as
 location-free ``(code, component, message)`` tuples.  Every
-descriptor text the engine and the plan parser read goes through it;
-callers stamp their own location on the findings and apply their own
-``families`` filter.
+descriptor text the engine, the plan parser and the cluster's
+placement claims read goes through it; lint callers stamp their own
+location on the findings and apply their own ``families`` filter.
 
-It is safe because it is keyed on content and lint treats descriptors
-as read-only: no analyzer assigns to a descriptor or its contract, so
-a cached object and a fresh parse give identical findings.  The
-cached descriptors are shared between lint calls; code outside
-:mod:`repro.lint` must not mutate a descriptor it got from
+It is safe because it is keyed on content and its readers treat
+descriptors as read-only: no analyzer assigns to a descriptor or its
+contract, so a cached object and a fresh parse give identical
+findings.  The cached descriptors are shared between calls; code
+must not mutate a descriptor it got from :func:`descriptor_facts` or
 :func:`repro.lint.deployment.parse_plan`.  The size is a fixed
 constant (docs/PERFORMANCE.md); :func:`clear` empties the memo, for
 tests and cold-lint timing.

@@ -13,13 +13,33 @@ Two consumers, two shapes:
 
 Both shapes are derived from the same
 :meth:`~repro.telemetry.metrics.Telemetry.as_dict` data, so they can
-never drift from each other.
+never drift from each other.  :func:`check_writable` lets a CLI refuse
+an unusable output path (a metrics dump, a trace, a report) before it
+runs.
 """
 
 import json
+import os
 
 #: Schema version of the metrics JSON document.
 METRICS_FORMAT_VERSION = 1
+
+
+def check_writable(*paths):
+    """Raise the :class:`OSError` that writing any of ``paths`` would
+    raise, so a CLI can refuse an unusable output path before it runs.
+
+    Empty entries (an option not given) are skipped.  A file this
+    creates is removed again; an existing one is left as it is.
+    """
+    for path in paths:
+        if not path:
+            continue
+        existed = os.path.lexists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def metrics_dict(telemetry):

@@ -125,6 +125,26 @@ class TestFleetScope:
         assert context["active_components@node1"] == 1.0
         assert context["alive_nodes"] == 3.0
 
+    def test_a_node_joined_later_publishes_its_kernel_parameters(self):
+        cluster = Cluster(("node0", "node1"), seed=5,
+                          heartbeat_interval_ns=10 * MSEC)
+        try:
+            controller = AdaptationController(cluster=cluster)
+            cluster.add_node("node2")
+            cluster.run_for(30 * MSEC)
+            context = controller.collect_context()
+        finally:
+            cluster.shutdown()
+
+        def keys_of(node):
+            return sorted(key.split("@")[0] for key in context
+                          if key.endswith("@" + node))
+
+        assert keys_of("node0") == [
+            "active_components", "deadline_miss_rate",
+            "deadline_misses", "rt_utilization"]
+        assert keys_of("node2") == keys_of("node0")
+
     def test_migrate_and_rebalance_rules_move_components(self, fleet):
         fleet.deploy(make_descriptor_xml("MOVE00", cpuusage=0.1),
                      node="node0")

@@ -3,8 +3,10 @@ fail over."""
 
 import pytest
 
-from repro.cluster import Cluster, ClusterError, LinkSpec
-from repro.core import ComponentState
+from repro.cluster import Cluster, ClusterError, LinkSpec, federation
+from repro.core import ComponentState, descriptor
+from repro.core.descriptor import ComponentDescriptor
+from repro.lint import memo
 from repro.sim.engine import MSEC
 
 from conftest import make_descriptor_xml
@@ -38,6 +40,42 @@ class TestDeploy:
             node = cluster.node(home)
             assert node.drcr.component_state(name) \
                 is ComponentState.ACTIVE
+
+    def test_a_deploy_burst_parses_linearly(self, monkeypatch):
+        # Placement counts the claim of every deploy still in flight,
+        # so parsing each claim on every deploy would be quadratic in
+        # the burst; the lint memo parses each text once.
+        burst = [make_descriptor_xml("BRST%02d" % i, cpuusage=0.02,
+                                     priority=2 + i) for i in range(30)]
+
+        def homes():
+            fleet = Cluster(("node0", "node1", "node2"), seed=23)
+            try:
+                for xml in burst:
+                    fleet.deploy(xml)
+                return dict(fleet.deployments)
+            finally:
+                fleet.shutdown()
+
+        parses = []
+        parse_root = descriptor._parse_root
+
+        def counted(text):
+            parses.append(text)
+            return parse_root(text)
+
+        memo.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(descriptor, "_parse_root", counted)
+            landed = homes()
+        assert len(parses) <= 2 * len(burst)
+        # The claims are the floats a fresh parse gives.
+        with monkeypatch.context() as patch:
+            patch.setattr(federation, "_usage", lambda entry: (
+                ComponentDescriptor.from_xml(entry["descriptor_xml"])
+                .contract.cpu_usage))
+            assert homes() == landed
+        assert set(landed.values()) == {"node0", "node1", "node2"}
 
     def test_explicit_node_and_duplicate_rejected(self, cluster):
         cluster.deploy(tuned_xml(), node="node2")

@@ -62,8 +62,9 @@ def test_compare_output_matches_golden(subcommand, tmp_path):
     ["--seconds", "-1"],
     ["--static", "--compare"],
     ["--seconds", "0.1", "--json", "no-such-dir/r.json"],
+    ["--seconds", "0.1", "--json", "."],
 ], ids=["epoch-ms-0", "seconds-0", "seconds-negative", "static-compare",
-        "json-unwritable"])
+        "json-unwritable", "json-is-a-directory"])
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 def test_bad_input_exits_2_without_traceback(subcommand, args, tmp_path):
     result = run_cli([subcommand, *args], tmp_path)
@@ -71,6 +72,8 @@ def test_bad_input_exits_2_without_traceback(subcommand, args, tmp_path):
     assert result.returncode == 2, (result.returncode, stderr)
     assert "Traceback" not in stderr, stderr
     assert subcommand in stderr, stderr
+    # Refused before the run: no report is printed.
+    assert result.stdout == b"", result.stdout.decode()
 
 
 if __name__ == "__main__":          # golden-file regeneration hook

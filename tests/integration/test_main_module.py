@@ -71,6 +71,16 @@ MISSHAPEN_PLANS = {
 }
 
 
+#: Input that proves unusable only once the run is under way (the
+#: fleet is too small for the workload): the deploys before it print.
+#: Every other case is refused before anything is printed.
+MID_RUN = (
+    ["cluster", "--utilization", "5"],
+    ["cluster", "--nodes", "2", "--components", "2",
+     "--utilization", "1.8"],
+)
+
+
 @pytest.mark.parametrize("args", [
     ["--faults", "missing.json"],
     ["--faults", "broken.json"],
@@ -81,12 +91,12 @@ MISSHAPEN_PLANS = {
     ["cluster", "--seconds", "0"],
     ["cluster", "--seconds", "-1"],
     ["cluster", "--utilization", "0"],
-    ["cluster", "--utilization", "5"],
-    ["cluster", "--nodes", "2", "--components", "2",
-     "--utilization", "1.8"],
+    *MID_RUN,
     ["cluster", "--drop", "2"],
     ["cluster", "--json", "no-such-dir/r.json"],
     ["cluster", "--export-plan", "no-such-dir/p.json"],
+    ["--trace", "t.json", "--metrics", "."],
+    ["cluster", "--json", "r.json", "--export-plan", "."],
 ], ids=["faults-missing", "faults-invalid-json", "faults-invalid-plan",
         "faults-plan-number", "faults-plan-null", "faults-entry-number",
         "faults-list-string", "faults-list-object", "faults-at-null",
@@ -99,7 +109,8 @@ MISSHAPEN_PLANS = {
         "cluster-seconds-negative", "cluster-utilization-0",
         "cluster-utilization-5", "cluster-no-migration-target",
         "cluster-drop-2", "cluster-json-unwritable",
-        "cluster-export-plan-unwritable"])
+        "cluster-export-plan-unwritable", "metrics-is-a-directory",
+        "cluster-export-plan-is-a-directory"])
 def test_bad_input_exits_2_without_traceback(args, tmp_path):
     (tmp_path / "broken.json").write_text('{"name": "x", "faults": [')
     (tmp_path / "nameless.json").write_text('{"faults": []}')
@@ -114,3 +125,8 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path):
     prog = "python -m repro cluster" if args[0] == "cluster" \
         else "python -m repro"
     assert prog + ":" in result.stderr, result.stderr
+    if args not in MID_RUN:
+        assert result.stdout == "", result.stdout
+    # A valid output path given beside an unusable one is left unwritten.
+    assert not (tmp_path / "t.json").exists()
+    assert not (tmp_path / "r.json").exists()
