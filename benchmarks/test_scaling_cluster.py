@@ -160,15 +160,16 @@ def measure_gossip(nodes):
     """Steady-state gossip traffic for an idle ``nodes``-node fleet.
 
     Kernel timers are muted (one long period) so the message counters
-    see only membership traffic: probes, acks, indirect pings, digest
-    announcements and the anti-entropy sweep."""
+    see only membership traffic: probes, acks, indirect pings and the
+    rotation's one forced export push per interval (no export
+    changes)."""
     names = ["n%03d" % index for index in range(nodes)]
     cluster = Cluster(names, seed=nodes,
                       heartbeat_interval_ns=HEARTBEAT_INTERVAL_NS,
                       miss_limit=MISS_LIMIT,
                       timer_period_ns=10_000 * MSEC)
     try:
-        # Let join gossip, digests and the first pulls converge.
+        # Let join gossip and the first export pushes converge.
         cluster.run_for(100 * MSEC)
         metrics = cluster.sim.telemetry.registry("cluster")
         before = metrics.get("messages_sent_total").value

@@ -326,7 +326,8 @@ class KernelContextProvider(ContextProvider):
         self._kernel = kernel
         self._node = node
         self._windows = _Windows()
-        self._last_now = None
+        # The first window runs from the kernel's build, not from t0.
+        self._last_now = kernel.built_ns
 
     def collect(self, now_ns):
         kernel = self._kernel
@@ -338,8 +339,7 @@ class KernelContextProvider(ContextProvider):
         misses = self._windows.delta("misses", misses)
         activations = self._windows.delta("activations", activations)
         busy = self._windows.delta("busy", kernel.rt_busy_ns())
-        elapsed = (now_ns - self._last_now
-                   if self._last_now is not None else now_ns)
+        elapsed = now_ns - self._last_now
         self._last_now = now_ns
         node = self._node
         return {

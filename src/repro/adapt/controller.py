@@ -135,6 +135,7 @@ class AdaptationController:
         #: Recent executed/failed actions, newest last (bounded).
         self.history = []
         self._epoch_event = None
+        self._running = False
 
     # ------------------------------------------------------------------
     # providers
@@ -204,12 +205,15 @@ class AdaptationController:
     # ------------------------------------------------------------------
     def start(self):
         """Begin evaluating every ``epoch_ns`` of simulated time."""
-        if self._epoch_event is None:
+        if not self._running:
+            self._running = True
             self._arm()
         return self
 
     def stop(self):
-        """Stop evaluating (pending epoch cancelled)."""
+        """Stop evaluating (pending epoch cancelled); also holds when
+        called from inside an epoch, by an action or a provider."""
+        self._running = False
         if self._epoch_event is not None:
             self._epoch_event.cancel_if_pending()
             self._epoch_event = None
@@ -221,7 +225,7 @@ class AdaptationController:
     def _on_epoch(self):
         self._epoch_event = None
         self.step()
-        if self._epoch_event is None:  # an action may have stopped us
+        if self._running and self._epoch_event is None:
             self._arm()
 
     def step(self):

@@ -5,11 +5,10 @@ platforms on a shared :class:`~repro.sim.engine.Simulator`, wires them
 through a :class:`~repro.cluster.transport.MessageTransport`, starts
 the SWIM-style :class:`~repro.cluster.membership.MembershipService`,
 and acts as the management plane: it owns the home map (component ->
-node), the descriptor catalog, and the per-node state replicas it
-pulls on demand (nodes announce export-version changes in tiny
-``digest`` messages; the coordinator answers with ``snapshot_pull``
-and a rotating anti-entropy sweep recovers lost digests -- full
-snapshots never ride the n² heartbeat mesh anymore).
+node), the descriptor catalog, and the per-node state replicas the
+nodes push to it (one ``snapshot_push`` when a node's export changes,
+plus one forced push per tick from a rotating node, which recovers a
+lost push -- full snapshots never ride the n² heartbeat mesh).
 
 The coordinator is itself a transport endpoint (``control``): every
 deployment (one ``deploy`` message, one component or a whole
@@ -279,8 +278,7 @@ class Cluster:
         self.failovers = []     # completed failover reports
         self.mgmt_replies = {}  # request id -> mgmt_reply payload
         self._requests = {}     # unanswered request id -> mgmt payload
-        self._replicas = {}     # node name -> last pulled snapshot
-        self._replica_versions = {}  # node name -> pulled version
+        self._replicas = {}     # node name -> last pushed snapshot
         self._tombstones = {}   # undeployed name -> former home node
         self._migrations = {}
         self._seq = itertools.count(1)
@@ -298,8 +296,6 @@ class Cluster:
             "failover_components_total")
         self._m_failover_detect = metrics.histogram(
             "failover_detect_ns", FAILOVER_DETECT_BOUNDS_NS)
-        self._m_snapshot_pulls = metrics.counter(
-            "snapshot_pulls_total")
         self._m_snapshot_pushes = metrics.counter(
             "snapshot_pushes_total")
         self.membership.start()
@@ -762,22 +758,11 @@ class Cluster:
     # ------------------------------------------------------------------
     # replica bookkeeping and failover
     # ------------------------------------------------------------------
-    def pull_snapshot(self, name):
-        """Ask ``name`` for its snapshot if ours is stale
-        (anti-entropy; the node only replies when the version moved)."""
-        self._m_snapshot_pulls.inc()
-        self.transport.send(self.coordinator_name, name,
-                            "snapshot_pull", {
-                                "have": self._replica_versions.get(
-                                    name),
-                                "reply_to": self.coordinator_name,
-                            })
-
     def note_replica(self, src, snapshot):
-        """Record a node's pulled state snapshot.
+        """Record a node's pushed state snapshot.
 
         Also reconciles the home map and catalog -- last writer wins,
-        which converges within a pull round-trip of any move."""
+        which converges within a push of any move."""
         self._replicas[src] = snapshot
         carried = set()
         for entry in snapshot.get("components", ()):
@@ -796,7 +781,6 @@ class Cluster:
         survivors, one batch round per target node."""
         now = self.sim.now
         self._m_failover_detect.observe(now - last_seen)
-        self._replica_versions.pop(name, None)
         replica = self._replicas.pop(name, None)
         if replica is not None:
             entries = list(replica.get("components", ()))
@@ -895,17 +879,10 @@ class Cluster:
             self._on_migrate_ack(payload)
         elif kind == "mgmt_reply":
             self._on_mgmt_reply(payload)
-        elif kind == "digest":
-            node = payload["node"]
-            if not self.membership.is_dead(node) \
-                    and self._replica_versions.get(node) \
-                    != payload["version"]:
-                self.pull_snapshot(node)
         elif kind == "snapshot_push":
             node = payload["node"]
             if not self.membership.is_dead(node):
                 self._m_snapshot_pushes.inc()
-                self._replica_versions[node] = payload["version"]
                 self.note_replica(node, payload["snapshot"])
         elif kind == "fence_ack":
             self.membership.note_fence_ack(payload["node"])

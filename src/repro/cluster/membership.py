@@ -38,12 +38,13 @@ fanout), so per-interval traffic is O(n · fanout):
   ``cluster.fence_attempts_total``.
 
 Snapshots left the heartbeat path entirely: probe traffic carries no
-component state.  Replication is **pull-based anti-entropy** -- each
-node versions its export, announces version changes to the coordinator
-in a tiny ``digest`` message, and the coordinator pulls the full
-snapshot only when its copy is stale (plus a slow one-node-per-tick
-rotation that recovers lost digests).  See
-:meth:`repro.cluster.federation.Cluster.pull_snapshot`.
+component state.  Replication is **push on change** -- every tick,
+each live node compares its export with the one it last sent and,
+when they differ, sends the coordinator one ``snapshot_push``
+(:meth:`repro.cluster.node.ClusterNode.push_export`).  A slow
+one-node-per-tick rotation makes its node push regardless, which
+recovers a push the loss gate or a partition ate at one message per
+interval.
 
 One modelling note: the service is a single shared object (all nodes
 live on one simulator), so member *state* -- incarnations, suspicion,
@@ -121,8 +122,7 @@ class MembershipService:
         self._probe_order = {}    # node -> shuffled peer list
         self._probe_pos = {}      # node -> cursor into its list
         self._gossip = {}         # node -> {subject: [status, inc, ttl]}
-        self._notified_versions = {}   # node -> last digest version sent
-        self._anti_entropy_ring = []   # rotation for coordinator pulls
+        self._push_ring = []      # rotation of forced export pushes
         metrics = self.sim.telemetry.registry("cluster")
         self._m_sent = metrics.counter("heartbeats_sent_total")
         self._m_received = metrics.counter("heartbeats_received_total")
@@ -238,8 +238,7 @@ class MembershipService:
                 continue
             for target in self._probe_targets(name):
                 self._send_probe(name, target, now)
-        self._announce_digests(nodes)
-        self._anti_entropy(nodes)
+        self._replicate(nodes)
         self._check(now)
         self.sim.schedule(self.heartbeat_interval_ns, self._tick,
                           epoch, label="cluster:gossip")
@@ -560,38 +559,22 @@ class MembershipService:
         return name in self._fence_acked
 
     # ------------------------------------------------------------------
-    # replication announcements (pull-based anti-entropy)
+    # replication (push on change, forced by rotation)
     # ------------------------------------------------------------------
-    def _announce_digests(self, nodes):
-        """Each live member whose export version moved sends the
-        coordinator a tiny digest; the coordinator pulls the snapshot
-        only when its copy is stale."""
-        for name, node in nodes.items():
-            if not node.alive or name in self.declared_dead:
-                continue
-            version = node.snapshot_version()
-            if self._notified_versions.get(name) != version:
-                self._notified_versions[name] = version
-                self._m_sent.inc()
-                self.cluster.transport.send(
-                    name, self.cluster.coordinator_name, "digest",
-                    {"node": name, "version": version})
-
-    def _anti_entropy(self, nodes):
-        """One coordinator pull per tick, rotating over the members --
-        recovers digests the loss gate ate, at O(1) per interval."""
-        ring = self._anti_entropy_ring
+    def _replicate(self, nodes):
+        """Every live member pushes its export to the coordinator when
+        it changed; the rotation's member pushes regardless, which
+        recovers a lost push at one message per interval."""
+        ring = self._push_ring
         if not ring:
-            ring = [name for name, node in nodes.items()
-                    if node.alive and name not in self.declared_dead]
-            if not ring:
-                return
-            self._anti_entropy_ring = ring
-        name = ring.pop()
-        node = nodes.get(name)
-        if node is not None and node.alive \
-                and name not in self.declared_dead:
-            self.cluster.pull_snapshot(name)
+            ring = self._push_ring = [
+                name for name, node in nodes.items()
+                if node.alive and name not in self.declared_dead]
+        forced = ring.pop() if ring else None
+        coordinator = self.cluster.coordinator_name
+        for name, node in nodes.items():
+            if node.alive and name not in self.declared_dead:
+                node.push_export(coordinator, force=name == forced)
 
     # ------------------------------------------------------------------
     # plumbing

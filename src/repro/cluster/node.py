@@ -18,6 +18,12 @@ through the component's registered
 with an LDAP filter on ``drcom.name`` -- exactly how a local §2.4
 client would find it.  The transport handler is a thin parser that
 ends in those service calls.
+
+Replication is one message the node sends unasked: on each membership
+tick :meth:`ClusterNode.push_export` ships the node's export to the
+coordinator in a ``snapshot_push`` when it differs from the one last
+sent, or when the membership rotation forces it.  Failover restores a
+dead node's components from that replica.
 """
 
 from repro.core.drcr import DRCR
@@ -139,43 +145,38 @@ class ClusterNode(Platform):
             properties={"drcom.node": name})
         self.membership = None  # wired by the Cluster
         self.alive = True
-        self._snapshot_cache = None
-        self._snapshot_version = 0
+        self._pushed = None  # the export last sent to the coordinator
         transport.register(name, self.handle_message)
 
     # ------------------------------------------------------------------
     # state export / liveness
     # ------------------------------------------------------------------
-    def export_entries(self):
-        """Snapshot entries for every component this node manages."""
-        return [export_component_entry(component)
-                for component in self.drcr.registry.all()]
-
-    def snapshot_version(self):
-        """Version counter over this node's exportable state.
-
-        Bumped whenever the export (components, live properties,
-        application groupings) differs from the cached copy -- the
-        membership layer announces version changes to the coordinator
-        in a tiny ``digest`` instead of shipping the full snapshot to
-        every peer every beat.  The export is rebuilt and compared
-        whole on every call (each membership tick and each coordinator
-        pull), because live properties move with nearly every job;
-        the descriptor XML inside it is rendered once per descriptor
-        (:meth:`~repro.core.descriptor.ComponentDescriptor.to_xml`)."""
-        snapshot = {
-            "components": self.export_entries(),
+    def export(self):
+        """This node's replicated state: the snapshot entry of every
+        component it manages (live properties included) plus the
+        application groupings."""
+        return {
+            "components": [export_component_entry(component)
+                           for component in self.drcr.registry.all()],
             "applications": self.drcr.applications(),
         }
-        if snapshot != self._snapshot_cache:
-            self._snapshot_cache = snapshot
-            self._snapshot_version += 1
-        return self._snapshot_version
 
-    def snapshot(self):
-        """``(version, snapshot)`` of the current exportable state."""
-        version = self.snapshot_version()
-        return version, self._snapshot_cache
+    def push_export(self, coordinator, force=False):
+        """Send ``coordinator`` one ``snapshot_push`` when the export
+        differs from the one last sent, or always with ``force``.
+
+        The membership tick calls this for every live node, forcing the
+        one its rotation picks: a push the loss gate or a partition
+        ate is resent within one rotation.  The export is rebuilt and
+        compared whole on every call, because live properties move with
+        nearly every job; the descriptor XML inside it is rendered once
+        per descriptor
+        (:meth:`~repro.core.descriptor.ComponentDescriptor.to_xml`)."""
+        export = self.export()
+        if force or export != self._pushed:
+            self._pushed = export
+            self.transport.send(self.name, coordinator, "snapshot_push",
+                                {"node": self.name, "snapshot": export})
 
     def crash(self):
         """Fail-stop the node: off the wire, stack torn down.
@@ -204,15 +205,6 @@ class ClusterNode(Platform):
                     "ping_ack"):
             if self.membership is not None:
                 self.membership.on_wire(self.name, message)
-        elif kind == "snapshot_pull":
-            version, snapshot = self.snapshot()
-            if version != payload.get("have"):
-                self.transport.send(self.name, reply_to,
-                                    "snapshot_push", {
-                                        "node": self.name,
-                                        "version": version,
-                                        "snapshot": snapshot,
-                                    })
         elif kind == "deploy":
             report = self.management.deploy_entries(
                 payload["entries"], payload.get("application"))

@@ -116,9 +116,7 @@ class ApplicationDescriptor:
                 raise DescriptorError(
                     "application %r: unexpected element <%s>"
                     % (name, _local(child.tag)))
-            components.append(
-                ComponentDescriptor.from_xml(ET.tostring(
-                    child, encoding="unicode")))
+            components.append(ComponentDescriptor.from_element(child))
         return cls(name, components,
                    description=root.attrib.get("desc", ""),
                    complete=complete)

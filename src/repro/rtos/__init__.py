@@ -28,7 +28,6 @@ from repro.rtos.errors import (
     DuplicateNameError,
     InvalidTaskNameError,
     IPCError,
-    MailboxEmptyError,
     MailboxFullError,
     RTOSError,
     SchedulerError,
@@ -99,7 +98,6 @@ __all__ = [
     "LoadGenerator",
     "LXRT",
     "Mailbox",
-    "MailboxEmptyError",
     "MailboxFullError",
     "MAX_NAME_LENGTH",
     "NullLatencyModel",

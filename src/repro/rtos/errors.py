@@ -37,9 +37,5 @@ class MailboxFullError(IPCError):
     """A non-blocking send found the mailbox full."""
 
 
-class MailboxEmptyError(IPCError):
-    """A non-blocking receive found the mailbox empty."""
-
-
 class ShmTypeError(IPCError):
     """A shared-memory access used the wrong data type or size."""

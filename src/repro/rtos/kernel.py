@@ -88,6 +88,9 @@ class RTKernel:
     def __init__(self, sim, config=None):
         self.sim = sim
         self.config = config or KernelConfig()
+        #: The simulated instant the kernel was built: utilization is
+        #: measured from here (a cluster node can join mid-run).
+        self.built_ns = sim.now
         cpus = range(self.config.num_cpus)
         self._schedulers = {
             cpu: make_scheduler(self.config.scheduler_policy,
@@ -330,10 +333,12 @@ class RTKernel:
         return sum(self._busy_now(c) for c in self._running)
 
     def rt_utilization(self, cpu=0):
-        """Fraction of elapsed time the RT domain used on ``cpu``."""
-        if self.sim.now == 0:
+        """Fraction of the time since the kernel was built that the RT
+        domain used on ``cpu``."""
+        elapsed = self.sim.now - self.built_ns
+        if elapsed == 0:
             return 0.0
-        return self._busy_now(cpu) / self.sim.now
+        return self._busy_now(cpu) / elapsed
 
     # ------------------------------------------------------------------
     # task API

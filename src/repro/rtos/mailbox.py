@@ -20,7 +20,6 @@ section 3.2 demands.
 from collections import deque
 
 from repro.rtos import names
-from repro.rtos.errors import MailboxEmptyError
 
 
 class Mailbox:
@@ -122,13 +121,6 @@ class Mailbox:
                 self._refill_from_send_waiters()
             return message
         return None
-
-    def receive_external_or_raise(self):
-        """Like :meth:`receive_external` but raises on empty."""
-        message = self.receive_external()
-        if message is None and self.empty:
-            raise MailboxEmptyError("mailbox %s empty" % self.name)
-        return message
 
     # ------------------------------------------------------------------
     # kernel-side plumbing (called from RTKernel request processing)

@@ -88,12 +88,6 @@ class SharedMemory:
     # ------------------------------------------------------------------
     # data access
     # ------------------------------------------------------------------
-    def _check_value(self, value):
-        if not self._validator(value):
-            raise ShmTypeError(
-                "value %r invalid for %s segment %s"
-                % (value, self.dtype, self.name))
-
     def write(self, values, writer=None):
         """Overwrite the whole segment (len(values) must equal size)."""
         values = list(values)
@@ -130,11 +124,6 @@ class SharedMemory:
     def read_at(self, index):
         """Return one element."""
         return self._data[index]
-
-    def _note_write(self, writer):
-        self.write_count += 1
-        self.last_write_time = self._clock()
-        self.last_writer = writer
 
     def age_ns(self):
         """Nanoseconds since the last write (None if never written)."""

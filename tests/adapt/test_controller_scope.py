@@ -130,9 +130,15 @@ class TestFleetScope:
                           heartbeat_interval_ns=10 * MSEC)
         try:
             controller = AdaptationController(cluster=cluster)
-            cluster.add_node("node2")
-            cluster.run_for(30 * MSEC)
+            cluster.run_for(100 * MSEC)
+            controller.collect_context()
+            kernel = cluster.add_node("node2").kernel
+            cluster.deploy(make_descriptor_xml(
+                "LATE00", cpuusage=0.3, frequency=100), node="node2")
+            cluster.run_for(50 * MSEC)
             context = controller.collect_context()
+            busy_ns = kernel.rt_busy_ns()
+            kernel_utilization = kernel.rt_utilization()
         finally:
             cluster.shutdown()
 
@@ -144,6 +150,12 @@ class TestFleetScope:
             "active_components", "deadline_miss_rate",
             "deadline_misses", "rt_utilization"]
         assert keys_of("node2") == keys_of("node0")
+        # Both utilizations run from the join, 50 ms ago, not from t0.
+        utilization = busy_ns / (50 * MSEC)
+        assert utilization > 0.2
+        assert context["rt_utilization@node2"] \
+            == pytest.approx(utilization)
+        assert kernel_utilization == pytest.approx(utilization)
 
     def test_migrate_and_rebalance_rules_move_components(self, fleet):
         fleet.deploy(make_descriptor_xml("MOVE00", cpuusage=0.1),

@@ -145,7 +145,7 @@ class TestMessageComplexity:
                           miss_limit=3,
                           timer_period_ns=10_000 * MSEC)
         try:
-            cluster.run_for(100 * MSEC)  # converge digests/pulls
+            cluster.run_for(100 * MSEC)  # converge the first pushes
             before = _cluster_metric(cluster, "messages_sent_total")
             cluster.run_for(200 * MSEC)  # 20 intervals
             after = _cluster_metric(cluster, "messages_sent_total")

@@ -2,14 +2,14 @@
 
 ``ComponentDescriptor.to_xml`` stores its text and renders it again
 only when ``contract.cpu`` moves, and every node exports the XML of
-every component it hosts on each membership tick and coordinator pull.
+every component it hosts on each membership tick.
 This runs one scenario twice: as is, and with ``to_xml`` replaced by
 the renderer itself (``render_xml``, the reference).  The scenario runs
 on 2-CPU nodes over jittered, lossy links.  It deploys with properties
 and as an application, exports a consumer before its provider lands
 (the DRCR then re-pins it to the other CPU), sets a property through
 ``manage``, migrates, crashes a node (failover) and joins a new one.
-Every snapshot version and every pulled snapshot of every node, the
+Every export every node built (each one a push candidate), the
 telemetry, the home map, the management replies and the failover
 reports must be the same.
 """
@@ -77,31 +77,22 @@ def scenario(seed):
 def observe(monkeypatch, seed):
     """Run the scenario and return everything it exported or decided,
     as JSON text (NaN latencies in status replies compare as text)."""
-    versions, pulls = [], []
-    snapshot_version = ClusterNode.snapshot_version
-    snapshot = ClusterNode.snapshot
+    exports = []
+    export = ClusterNode.export
 
-    def recorded_version(node):
-        version = snapshot_version(node)
-        versions.append((node.name, node.now, version))
-        return version
+    def recorded_export(node):
+        state = export(node)
+        exports.append((node.name, node.now,
+                        json.dumps(state, sort_keys=True)))
+        return state
 
-    def recorded_snapshot(node):
-        version, state = snapshot(node)
-        pulls.append((node.name, node.now, version,
-                      json.dumps(state, sort_keys=True)))
-        return version, state
-
-    monkeypatch.setattr(ClusterNode, "snapshot_version",
-                        recorded_version)
-    monkeypatch.setattr(ClusterNode, "snapshot", recorded_snapshot)
+    monkeypatch.setattr(ClusterNode, "export", recorded_export)
     cluster = scenario(seed)
     try:
-        final = {name: node.snapshot()
+        final = {name: node.export()
                  for name, node in cluster.nodes.items() if node.alive}
         return json.dumps({
-            "versions": versions,
-            "pulls": pulls,
+            "exports": exports,
             "final": final,
             "telemetry": cluster.sim.telemetry.as_dict(),
             "homes": cluster.deployments,

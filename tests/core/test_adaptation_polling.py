@@ -7,7 +7,11 @@ activity, evaluating every ``epoch_ns`` of simulated time.
 
 import pytest
 
-from repro.adapt import AdaptationController, ComponentContextProvider
+from repro.adapt import (
+    AdaptationController,
+    ComponentContextProvider,
+    ContextProvider,
+)
 from repro.core import AlwaysAcceptPolicy, ComponentState
 from repro.sim.engine import MSEC, SEC
 
@@ -38,6 +42,25 @@ class TestPeriodicPolling:
         controller.stop()
         platform.run_for(50 * MSEC)
         assert epochs(platform) == count
+
+    def test_stop_from_inside_an_epoch(self, platform):
+        """A stop made by anything the epoch runs -- here a context
+        provider on its first collect -- ends the polling."""
+
+        class StopsTheController(ContextProvider):
+            controller = None
+
+            def collect(self, now_ns):
+                self.controller.stop()
+                return {}
+
+        provider = StopsTheController()
+        controller = AdaptationController(platform, epoch_ns=10 * MSEC,
+                                          providers=[provider])
+        provider.controller = controller
+        controller.start()
+        platform.run_for(100 * MSEC)
+        assert epochs(platform) == 1
 
     def test_restart_with_new_period(self, platform):
         deploy(platform, make_descriptor_xml("COMP00", cpuusage=0.05))
