@@ -36,8 +36,10 @@ Migration (snapshot-based, at-most-once wire + coordinator retries):
    target when the original died; exhausted retries fall back to a
    local failover-style redeploy so the component is never lost.
 
-Failover: when membership declares a node dead, every component from
-the dead node's last replica is re-planned across the survivors by the
+Failover: when membership declares a node dead, every component the
+home map places on it (its last replica's entries, then from the
+catalog whatever landed after that push) is re-planned across the
+survivors by the
 :class:`~repro.cluster.placement.ClusterPlacementService` and
 re-deployed **in one ``drcr.batch()`` round per target** through the
 target's ``deploy_entries`` -- the one landing path deploys and
@@ -475,8 +477,8 @@ class Cluster:
 
         Port wiring resolves inside a single node's kernel, so the
         members must be co-located; the placement service picks the
-        node with enough *total* headroom and the target deploys the
-        group in one batch round, then records the grouping via
+        node whose CPUs can place every member and the target deploys
+        the group in one batch round, then records the grouping via
         ``define_application``.  ``properties`` maps component name to
         saved property dicts.  Returns the target node name."""
         properties = properties or {}
@@ -498,13 +500,13 @@ class Cluster:
                 raise ClusterError("component %r already deployed on %s"
                                    % (name, self.deployments[name]))
         if node is None:
-            total = sum(descriptor.contract.cpu_usage
-                        for descriptor, _, _ in members)
-            node = self.placement.choose_node_for_group(
-                total, extra_node_load=self._pending_load())
+            claims = [descriptor.contract.cpu_usage
+                      for descriptor, _, _ in members]
+            node = self.placement.choose_node(
+                *claims, pending=self._pending_load())
             if node is None:
                 raise ClusterError("no node fits %s (usage %.2f)"
-                                   % (subject, total))
+                                   % (subject, sum(claims)))
         elif node not in self.nodes:
             raise ClusterError("unknown node %r" % (node,))
         self._consult_plan_guard([xml for _, xml, _ in members], node,
@@ -741,9 +743,9 @@ class Cluster:
                    for node in self.alive_nodes())
 
     def _pending_load(self):
-        """Budget promised to nodes but not yet visible in their
-        registries (deploy messages still in flight): placement must
-        count it, or a burst of deploys piles onto one node."""
+        """Claims promised to nodes but not yet visible in their
+        registries (deploy messages still in flight), per node:
+        placement must count them, or a burst piles onto one node."""
         pending = {}
         for name, home in self.deployments.items():
             node = self.nodes.get(home)
@@ -752,7 +754,7 @@ class Cluster:
             entry = self.catalog.get(name)
             if entry is None:
                 continue
-            pending[home] = pending.get(home, 0.0) + _usage(entry)
+            pending.setdefault(home, []).append(_usage(entry))
         return pending
 
     # ------------------------------------------------------------------
@@ -778,19 +780,22 @@ class Cluster:
 
     def _on_node_dead(self, name, last_seen):
         """Failover: re-deploy the dead node's components across the
-        survivors, one batch round per target node."""
+        survivors, one batch round per target node: its last replica's
+        entries, plus each catalog component the home map places there
+        that neither the replica nor an unfinished migration holds."""
         now = self.sim.now
         self._m_failover_detect.observe(now - last_seen)
-        replica = self._replicas.pop(name, None)
-        if replica is not None:
-            entries = list(replica.get("components", ()))
-            applications = dict(replica.get("applications", {}))
-        else:
-            # Died before the first beat: fall back to the catalog.
-            entries = [self.catalog[comp]
-                       for comp, home in self.deployments.items()
-                       if home == name and comp in self.catalog]
-            applications = {}
+        replica = self._replicas.pop(name, {})
+        entries = list(replica.get("components", ()))
+        skip = {entry["name"] for entry in entries}
+        skip.update(migration.name
+                    for migration in self._migrations.values()
+                    if not migration.done)
+        entries += [self.catalog[comp]
+                    for comp, home in self.deployments.items()
+                    if home == name and comp not in skip
+                    and comp in self.catalog]
+        applications = dict(replica.get("applications", {}))
         orphans = [entry for entry in entries
                    if not self._component_lives_somewhere(
                        entry["name"])]
@@ -830,23 +835,21 @@ class Cluster:
         target's share in one ``drcr.batch()`` round.
 
         A group is a list of entries that must land together (a wired
-        application); singletons are one-element groups and effectively
-        get the per-slot best fit.  In-process on purpose: failover is
-        the coordinator restoring from *its* replica -- the dead node
-        is unreachable, so there is no remote hop to model.  Returns
-        ``{component: target node}`` for every entry that found a
-        home."""
+        application); singletons are one-element groups; earlier
+        groups' claims count as ``pending`` for later ones.  In-process
+        on purpose: failover is the coordinator restoring from *its*
+        replica -- the dead node is unreachable, so there is no remote
+        hop to model.  Returns ``{component: target node}`` for every
+        entry that found a home."""
         plan = {}
-        extra_node_load = {}
+        pending = {}
         for group in groups:
-            total = sum(_usage(entry) for entry in group)
-            node_name = self.placement.choose_node_for_group(
-                total, exclude=exclude,
-                extra_node_load=extra_node_load)
+            claims = [_usage(entry) for entry in group]
+            node_name = self.placement.choose_node(
+                *claims, exclude=exclude, pending=pending)
             if node_name is None:
                 continue
-            extra_node_load[node_name] = \
-                extra_node_load.get(node_name, 0.0) + total
+            pending.setdefault(node_name, []).extend(claims)
             plan.setdefault(node_name, []).extend(group)
         moved = {}
         for node_name, group in plan.items():

@@ -12,11 +12,11 @@ A descriptor can opt out per component with the property
 ``drcom.placement = "pinned"`` (the design-time pin is then honoured).
 
 This module is the one owner of the declared-budget placement
-decision: :func:`fits`, :func:`best_fit`, :func:`is_pinned` and
-:func:`co_location_groups`.  Admission, CPU and node placement,
-graceful degradation and failover call them at run time, and the
-DRT601/DRT602 plan analyzers call them on plan data, so the linter and
-the runtime agree by construction.
+decision: :func:`fits`, :func:`best_fit`, :func:`pack`,
+:func:`best_node`, :func:`is_pinned` and :func:`co_location_groups`.
+Admission, CPU and node placement, graceful degradation and failover
+call them at run time, and the DRT601/DRT602 plan analyzers call them
+on plan data, so the linter and the runtime agree by construction.
 """
 
 import itertools
@@ -47,6 +47,43 @@ def best_fit(loads, claim, caps):
         if best is None or load < best_load:
             best = index
             best_load = load
+    return best
+
+
+def pack(loads, claims, caps):
+    """Best-fit ``claims`` in turn onto the per-CPU ``loads``, in
+    place, as :class:`BestFitPlacement` admits them one by one;
+    returns how many found no CPU (admission rejects those)."""
+    misses = 0
+    for claim in claims:
+        cpu = best_fit(loads, claim, caps)
+        if cpu is None:
+            misses += 1
+        else:
+            loads[cpu] += claim
+    return misses
+
+
+def best_node(nodes, claims):
+    """The node that takes every one of ``claims``: ``(index,
+    packed)``, or ``None`` when no node does.
+
+    ``nodes`` lists ``(total, loads, caps)`` per node.  A node takes
+    the claims when :func:`pack` places them all on its CPUs, as its
+    own :class:`BestFitPlacement` would; the least ``total`` of those
+    wins, ties going to the first.  ``packed`` is a new list: the
+    winner's ``loads`` with the claims on.  The one node-choice rule:
+    deploys, migration, failover and DRT602 all choose here.
+    """
+    best = None
+    best_total = None
+    for index, (total, loads, caps) in enumerate(nodes):
+        if best is not None and total >= best_total:
+            continue  # cannot win, whatever it takes
+        packed = list(loads)
+        if not pack(packed, claims, caps):
+            best = (index, packed)
+            best_total = total
     return best
 
 

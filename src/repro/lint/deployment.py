@@ -11,9 +11,9 @@ placement, failover re-homing, cross-node wiring, management routing
 -- is re-derived here statically, with no Cluster, Framework or kernel
 instantiated (the layering rule in ``docs/ARCHITECTURE.md``: lint may
 *model* cluster topology, never build one).  DRT601/DRT602 own no
-placement math: they call the fit test, best-fit and grouping of
-:mod:`repro.core.placement`, the functions the runtime calls, on plan
-data.
+placement math: they call the fit test, best-fit, node choice and
+grouping of :mod:`repro.core.placement`, the functions the runtime
+calls, on plan data.
 
 Plan schema (``docs/STATIC_ANALYSIS.md`` renders the reference)::
 
@@ -42,9 +42,10 @@ directory.  The checks:
   ``drcom.placement=pinned`` component oversubscribes its pinned CPU;
 * **DRT602** -- no N-1 failover headroom: for each node, simulate its
   loss and re-place its components group by group over the survivors
-  (node capacity ``num_cpus * cap``, greedy least-loaded, co-location
-  groups move whole); any group left without a home means the fleet
-  is one crash away from stranding it;
+  (the least-loaded survivor whose CPUs can place the group, on the
+  per-CPU loads of DRT601's replay; co-location groups move whole);
+  any group left without a home means the fleet is one crash away
+  from stranding it;
 * **DRT603** -- a wired application split across nodes (or an inport
   whose only signature-compatible providers live on other nodes):
   ports bind inside one node's kernel, so the runtime can never
@@ -91,7 +92,7 @@ from repro.adapt.rules import parse_rule_document_tolerant
 from repro.analysis import TaskSpec, response_time
 from repro.cluster.transport import LinkSpec
 from repro.core.placement import (
-    best_fit, co_location_groups, fits, is_pinned)
+    best_fit, best_node, co_location_groups, fits, is_pinned)
 from repro.lint import memo
 # Shared interval arithmetic: DRT606 must agree with DRT503 about
 # when two rule conditions can hold in the same epoch.
@@ -147,11 +148,6 @@ class PlanNode:
         self.name = name
         self.num_cpus = num_cpus
         self.cap = cap
-
-    @property
-    def capacity(self):
-        """Total declared-utilization budget (``num_cpus * cap``)."""
-        return self.num_cpus * self.cap
 
 
 class PlanComponent:
@@ -486,16 +482,21 @@ def _local_nodes(plan, nodes):
 def _check_hosting(plan, nodes=None):
     """DRT601: every node must fit its own components.
 
-    Replays the node's admission statically, in plan order: pinned
+    Replays each node's admission statically, in plan order: pinned
     components (:func:`~repro.core.placement.is_pinned`) claim their
     declared CPU, everything else takes the
     :func:`~repro.core.placement.best_fit` CPU that
     :class:`~repro.core.placement.BestFitPlacement` picks at deploy
-    time.  Node-local: ``nodes`` as for :func:`lint_plan_document`.
+    time.  Returns the findings for the node-local ``nodes`` (as for
+    :func:`lint_plan_document`) and every node's replayed
+    ``(total, loads, caps)``, which DRT602 re-homes onto.
     """
     diagnostics = []
-    for node_name in _local_nodes(plan, nodes):
-        node = plan.nodes[node_name]
+    fleet = {}
+    local = set(_local_nodes(plan, nodes))
+    for node_name, node in plan.nodes.items():
+        # DRT602 needs every node's loads; only local nodes report.
+        found = diagnostics if node_name in local else []
         loads = [0.0] * node.num_cpus
         caps = [node.cap] * node.num_cpus
         for comp in _enabled_components(plan, node_name):
@@ -503,13 +504,13 @@ def _check_hosting(plan, nodes=None):
             if is_pinned(comp.descriptor):
                 cpu = comp.descriptor.contract.cpu
                 if cpu >= node.num_cpus:
-                    diagnostics.append(Diagnostic(
+                    found.append(Diagnostic(
                         "DRT601", comp.descriptor.name, comp.location,
                         "pinned to CPU %d, but node %r declares only "
                         "%d CPU(s)" % (cpu, node_name, node.num_cpus)))
                     continue
                 if not fits(loads[cpu] + usage, node.cap):
-                    diagnostics.append(Diagnostic(
+                    found.append(Diagnostic(
                         "DRT601", comp.descriptor.name, comp.location,
                         "pinned claim %.3f does not fit CPU %d of "
                         "node %r (load already %.3f, cap %.2f)"
@@ -520,7 +521,7 @@ def _check_hosting(plan, nodes=None):
                 continue
             best = best_fit(loads, usage, caps)
             if best is None:
-                diagnostics.append(Diagnostic(
+                found.append(Diagnostic(
                     "DRT601", comp.descriptor.name, comp.location,
                     "node %r cannot place %s (claim %.3f): per-CPU "
                     "loads are %s at cap %.2f; admission on this "
@@ -529,60 +530,49 @@ def _check_hosting(plan, nodes=None):
                        ["%.3f" % load for load in loads], node.cap)))
             else:
                 loads[best] += usage
-    return diagnostics
+        fleet[node_name] = (sum(loads), loads, caps)
+    return diagnostics, fleet
 
 
-def _check_failover_capacity(plan):
+def _check_failover_capacity(plan, fleet):
     """DRT602: simulate each node's loss; survivors must absorb it.
 
     Replays runtime failover on plan data: the lost node's
     :func:`~repro.core.placement.co_location_groups` each go to the
-    :func:`~repro.core.placement.best_fit` survivor (capacity
-    ``num_cpus * cap``, plan node order), and earlier groups' budget
-    counts against later ones, as ``extra_node_load`` does for
-    :meth:`~repro.cluster.placement.ClusterPlacementService
-    .choose_node_for_group`.  N-1 analysis needs at least two nodes;
-    single-node plans are skipped.
+    survivor :func:`~repro.core.placement.best_node` picks (plan node
+    order) in the ``fleet`` DRT601 replayed, and each placed group's
+    claims count against later groups, as failover's ``pending`` does.
+    N-1 analysis needs at least two nodes; single-node plans are
+    skipped.
     """
     if len(plan.nodes) < 2:
         return []
     diagnostics = []
-    base_load = {
-        name: sum(comp.descriptor.contract.cpu_usage
-                  for comp in _enabled_components(plan, name))
-        for name in plan.nodes
-    }
     for dead in plan.nodes:
         members = _enabled_components(plan, dead)
         if not members:
             continue
-        survivors = [name for name in plan.nodes if name != dead]
-        base = [base_load[name] for name in survivors]
-        caps = [plan.nodes[name].capacity for name in survivors]
-        extra = [0.0] * len(survivors)
-        loads = list(base)
+        survivors = [node for name, node in fleet.items()
+                     if name != dead]
         for group in co_location_groups(members, plan.applications,
                                         _component_name):
-            total = sum(comp.descriptor.contract.cpu_usage
-                        for comp in group)
-            best = best_fit(loads, total, caps)
-            if best is None:
+            claims = [comp.descriptor.contract.cpu_usage
+                      for comp in group]
+            chosen = best_node(survivors, claims)
+            if chosen is None:
                 names = ", ".join(sorted(comp.descriptor.name
                                          for comp in group))
-                headroom = max(
-                    (cap - load - more
-                     for cap, load, more in zip(caps, base, extra)),
-                    default=0.0)
                 diagnostics.append(Diagnostic(
                     "DRT602", names, group[0].location,
                     "losing node %r strands {%s}: the group claims "
-                    "%.3f but the best survivor headroom is %.3f "
-                    "under group placement; the fleet has no N-1 "
-                    "failover capacity"
-                    % (dead, names, total, headroom)))
+                    "%s and no survivor's CPUs can place it; the "
+                    "fleet has no N-1 failover capacity"
+                    % (dead, names,
+                       " + ".join("%.3f" % claim for claim in claims))))
             else:
-                extra[best] += total
-                loads[best] = base[best] + extra[best]
+                index, loads = chosen
+                survivors[index] = (sum(loads), loads,
+                                    survivors[index][2])
     return diagnostics
 
 
@@ -753,9 +743,8 @@ def check_plan(plan, nodes=None):
     """All topology-level DRT60x diagnostics for a parsed plan; the
     node-local DRT601/DRT604 only for ``nodes`` (None = every node,
     see :func:`lint_plan_document`)."""
-    diagnostics = []
-    diagnostics.extend(_check_hosting(plan, nodes))
-    diagnostics.extend(_check_failover_capacity(plan))
+    diagnostics, fleet = _check_hosting(plan, nodes)
+    diagnostics.extend(_check_failover_capacity(plan, fleet))
     diagnostics.extend(_check_cross_node_wiring(plan))
     diagnostics.extend(_check_management_latency(plan, nodes))
     diagnostics.extend(_check_rules_against_topology(plan))

@@ -10,10 +10,13 @@ fleets:
   ``UtilizationBoundPolicy(cap)`` and ``BestFitPlacement(cap)``;
 * **DRT602** strands, for the loss of ``node0``, exactly the
   components a live :class:`~repro.cluster.federation.Cluster`'s
-  failover reports unplaced once ``node0`` crashes.  DRT602 re-homes
-  in plan (name) order and failover in deploy order, and names out of
-  deploy order can strand different components; the cases here name
-  components in deploy order so the two orders agree.
+  failover reports unplaced once ``node0`` crashes, on fleets of 1-3
+  CPUs per node: both choose a survivor whose CPUs can place a group
+  through :func:`~repro.core.placement.best_node`, and every component
+  failover reports moved ends ACTIVE.  DRT602 re-homes in plan (name)
+  order and failover in deploy order, and names out of deploy order
+  can strand different components; the cases here name components in
+  deploy order so the two orders agree.
 
 Claims have three decimals, so a true load either equals a cap or
 misses it by at least 0.001: the verdicts do not hinge on float
@@ -72,8 +75,11 @@ def hosting_cases(draw):
 
 @st.composite
 def fleet_cases(draw):
-    """2-4 one-CPU nodes; each deploy is one component or a 2-3
-    member application, homed on a node it fits within cap 1.0."""
+    """2-4 nodes of 1-3 CPUs each (one count per fleet); each deploy
+    is one component or a 2-3 member application, homed on a node
+    whose total it fits within ``num_cpus`` x cap 1.0 (its CPUs may
+    still leave a member unplaced)."""
+    num_cpus = draw(st.integers(min_value=1, max_value=3))
     node_count = draw(st.integers(min_value=2, max_value=4))
     loads = [0] * node_count
     deploys = []
@@ -82,10 +88,10 @@ def fleet_cases(draw):
         members = draw(st.lists(claims_milli, min_size=1,
                                 max_size=draw(st.sampled_from(
                                     [1, 1, 2, 3]))))
-        if loads[node] + sum(members) <= 1000:
+        if loads[node] + sum(members) <= 1000 * num_cpus:
             loads[node] += sum(members)
             deploys.append((node, members))
-    return node_count, deploys
+    return num_cpus, node_count, deploys
 
 
 class TestPlanAgreement:
@@ -122,9 +128,11 @@ class TestPlanAgreement:
     @settings(max_examples=60, deadline=None)
     @given(fleet_cases())
     def test_drt602_strands_what_failover_leaves_unplaced(self, case):
-        node_count, deploys = case
+        num_cpus, node_count, deploys = case
         names = ["node%d" % index for index in range(node_count)]
-        cluster = Cluster(names, seed=5)
+        cluster = Cluster(names, seed=5,
+                          kernel_config_factory=lambda: KernelConfig(
+                              num_cpus=num_cpus))
         index = 0
         for app, (node, members) in enumerate(deploys):
             xmls = []
@@ -145,5 +153,9 @@ class TestPlanAgreement:
 
         cluster.crash_node("node0")
         cluster.run_for(300 * MSEC)
-        assert cluster.failovers[-1]["node"] == "node0"
-        assert stranded == set(cluster.failovers[-1]["unplaced"])
+        report = cluster.failovers[-1]
+        assert report["node"] == "node0"
+        assert stranded == set(report["unplaced"])
+        for name, home in report["moved"].items():
+            assert cluster.node(home).drcr.component_state(name) \
+                is ComponentState.ACTIVE

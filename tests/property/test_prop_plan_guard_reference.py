@@ -21,20 +21,23 @@ and leave the same ``lint`` counters, at every ``fail_on`` and with
 and without a family filter.  Two directed cases pin what the draws
 reach only sometimes: a clash that takes a provider from a node the
 guard did not target, and verdicts decided by warnings alone.  A live
-three-node fleet adds the case where a full baseline matters: DRT301
-names no component, so one node's existing over-commitment hides
-another's new one from the ``(code, component)`` diff, and only a full
-baseline reproduces that.
+fleet of 2-CPU nodes adds two more.  With four nodes, a full baseline
+matters: DRT301 names no component, so one node's existing
+over-commitment hides another's new one from the
+``(code, component)`` diff, and only a full baseline reproduces that.
+With three, the same deploy leaves no survivor CPU for a lost node's
+component, and both guards veto it with DRT602.
 """
 
 import copy
 import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.cluster.federation import PlanGuard
+from repro.cluster.federation import ClusterError, PlanGuard
 from repro.lint import lint_plan
 from repro.lint.deployment import PLAN_SCHEMA_VERSION
 from repro.lint.diagnostics import Severity
@@ -345,10 +348,12 @@ def test_nodes_restricts_only_the_node_local_checks(plan, index):
 # ----------------------------------------------------------------------
 # a live fleet: the baseline must stay a full lint
 # ----------------------------------------------------------------------
-def over_committed_fleet():
-    """node1 carries three 0.6 claims on two CPUs (DRT301 with no
-    component, DRT601 for AAA002); node0 carries BBB000 at 0.6."""
-    cluster = Cluster(("node0", "node1", "node2"), seed=3,
+def over_committed_fleet(node_count=3):
+    """``node_count`` 2-CPU nodes: node1 carries three 0.6 claims
+    (DRT301 with no component, DRT601 for AAA002); node0 carries
+    BBB000 at 0.6; the rest are empty."""
+    cluster = Cluster(["node%d" % index for index in range(node_count)],
+                      seed=3,
                       kernel_config_factory=lambda: KernelConfig(
                           num_cpus=2),
                       heartbeat_interval_ns=10 * MSEC)
@@ -364,11 +369,13 @@ def over_committed_fleet():
 
 
 def test_existing_drt301_elsewhere_lets_a_new_one_pass():
+    # A fourth, empty node keeps N-1 room after the deploy, so no
+    # DRT602 veto masks the DRT301 collision this case pins.
     newcomer = make_descriptor_xml("BBB001", cpuusage=0.6,
                                    frequency=10, priority=6)
     verdicts = []
     for guard_class in (PlanGuard, ReferenceGuard):
-        cluster = over_committed_fleet()
+        cluster = over_committed_fleet(4)
         try:
             baseline = lint_plan(cluster.export_plan())
             assert ("DRT301", "") in {
@@ -384,11 +391,39 @@ def test_existing_drt301_elsewhere_lets_a_new_one_pass():
     # component), which the (code, component) diff cannot tell apart
     # from node1's: both guards let it pass.
     assert verdicts == [[], []]
-    cluster = over_committed_fleet()
+    cluster = over_committed_fleet(4)
     try:
         cluster.install_plan_guard()
         assert cluster.deploy(newcomer, node="node0") == "node0"
         assert cluster.sim.telemetry.registry("lint").get(
             "plan_rejections_total").value == 0
+    finally:
+        cluster.shutdown()
+
+
+def test_a_deploy_that_leaves_no_cpu_for_a_survivor_is_vetoed():
+    """Three 2-CPU nodes: with BBB001 beside BBB000, node0's CPUs sit
+    at 0.6 | 0.6, so losing node1 re-homes AAA000 and AAA001 onto
+    node2 and no survivor CPU is left for AAA002 (0.6).  A per-node
+    total (1.2 of 2.0 on node0) would still take it."""
+    newcomer = make_descriptor_xml("BBB001", cpuusage=0.6,
+                                   frequency=10, priority=6)
+    verdicts = []
+    for guard_class in (PlanGuard, ReferenceGuard):
+        cluster = over_committed_fleet()
+        try:
+            verdicts.append(view(guard_class(cluster).check_deploy(
+                [newcomer], "node0")))
+        finally:
+            cluster.shutdown()
+    assert verdicts[0] == verdicts[1]
+    assert [(code, component) for code, _, component, _, _
+            in verdicts[0]] == [("DRT602", "AAA002")]
+    cluster = over_committed_fleet()
+    try:
+        cluster.install_plan_guard()
+        with pytest.raises(ClusterError, match="DRT602"):
+            cluster.deploy(newcomer, node="node0")
+        assert "BBB001" not in cluster.deployments
     finally:
         cluster.shutdown()
