@@ -4,18 +4,20 @@
 platforms on a shared :class:`~repro.sim.engine.Simulator`, wires them
 through a :class:`~repro.cluster.transport.MessageTransport`, starts
 the SWIM-style :class:`~repro.cluster.membership.MembershipService`,
-and acts as the management plane: it owns the home map (component ->
-node), the descriptor catalog, and the per-node state replicas the
-nodes push to it (one ``snapshot_push`` when a node's export changes,
-plus one forced push per tick from a rotating node, which recovers a
-lost push -- full snapshots never ride the n² heartbeat mesh).
+and acts as the management plane: it owns the one record of
+ownership -- the home map (component -> node), the descriptor catalog
+and each node's application groupings -- and reconciles it with the
+exports the nodes push to it (one ``snapshot_push`` when a node's
+export changes, plus one forced push per tick from a rotating node,
+which recovers a lost push -- full snapshots never ride the n²
+heartbeat mesh).
 
 The coordinator is itself a transport endpoint (``control``): every
 deployment (one ``deploy`` message, one component or a whole
 application), migration and §2.4 management call it issues is a
 message subject to the same link model as node-to-node traffic, and
-the replies (`deploy_ack`, `migrate_ack`, `mgmt_reply`, ...) come back
-the same way; a §2.4 request that reaches a node the component has
+the replies (`deploy_ack`, `migrate_begun`, `mgmt_reply`, ...) come
+back the same way; a §2.4 request that reaches a node the component has
 just left follows it to its new home.  It is intentionally a
 *centralised* management plane -- the paper's runtime has exactly one
 management interface per platform, and this lifts that shape to fleet
@@ -26,26 +28,30 @@ Migration (snapshot-based, at-most-once wire + coordinator retries):
 1. coordinator -> source: ``migrate_out`` (name, target, id);
 2. source exports the entry (:func:`repro.core.snapshot
    .export_component_entry` -- live properties included), copies it to
-   the coordinator (``migrate_begun``, the retry ledger), undeploys
-   locally, and forwards ``migrate_in`` to the target;
-3. target re-deploys through its own resolving services (admission is
-   *re-decided*; saved properties stash for late admission) and acks;
+   the coordinator (``migrate_begun``, the retry ledger; no entry when
+   it does not host the component), undeploys locally, and sends the
+   target one ``deploy``: the entry plus the ``migration_id``;
+3. target lands it like any deploy (admission is *re-decided*; saved
+   properties stash for late admission); its ``deploy_ack`` echoes
+   the ``migration_id``;
 4. the coordinator measures initiation-to-ack latency; a missing ack
-   retries ``migrate_in`` from the ledger under a
+   re-sends that ``deploy`` from the ledger under a
    :class:`~repro.faults.recovery.BackoffPolicy`, re-choosing the
-   target when the original died; exhausted retries fall back to a
-   local failover-style redeploy so the component is never lost.
+   target when the original died; a migration that moved nothing
+   gives up through one path, which places a homeless component
+   locally so it is never lost.
 
-Failover: when membership declares a node dead, every component the
-home map places on it (its last replica's entries, then from the
-catalog whatever landed after that push) is re-planned across the
-survivors by the
+Failover: when membership declares a node dead, exactly the
+components the home map places on it -- but one an unfinished
+migration holds -- are re-planned from the catalog in name order (the
+order DRT602 replays) across the survivors by the
 :class:`~repro.cluster.placement.ClusterPlacementService` and
 re-deployed **in one ``drcr.batch()`` round per target** through the
 target's ``deploy_entries`` -- the one landing path deploys and
 migrations also take -- so each survivor runs a single coalesced
-reconfiguration.  Application groupings are re-declared through the
-public :meth:`~repro.core.drcr.DRCR.define_application`.
+reconfiguration.  Wired applications move whole, grouped by the
+node's application record, and are re-declared through the public
+:meth:`~repro.core.drcr.DRCR.define_application`.
 """
 
 import itertools
@@ -57,7 +63,7 @@ from repro.cluster.placement import ClusterPlacementService
 from repro.cluster.transport import MessageTransport
 from repro.core.descriptor import ComponentDescriptor
 from repro.core.lifecycle import ComponentState
-from repro.core.placement import co_location_groups
+from repro.core.placement import claim_of, co_location_groups
 from repro.faults.recovery import BackoffPolicy
 from repro.lint.diagnostics import Severity
 from repro.rtos.kernel import KernelConfig
@@ -81,16 +87,17 @@ _PLACED_OUTCOMES = frozenset(
 
 
 def _usage(entry):
-    """Declared CPU claim of one catalog or snapshot entry, read
-    through the lint memo, so each distinct text is parsed once."""
+    """Declared CPU claim (:func:`~repro.core.placement.claim_of`) of
+    one catalog or snapshot entry, read through the lint memo, so each
+    distinct text is parsed once."""
     # Lazy, as in PlanGuard._lint: the repro.lint package imports its
     # engine, which transitively imports this package.
     from repro.lint.memo import descriptor_facts
     text = entry["descriptor_xml"]
-    descriptor = descriptor_facts(text).descriptor
-    if descriptor is None:  # raise the parse error from_xml raises
-        descriptor = ComponentDescriptor.from_xml(text)
-    return descriptor.contract.cpu_usage
+    facts = descriptor_facts(text)
+    if facts.descriptor is None:  # raise the parse error from_xml raises
+        ComponentDescriptor.from_xml(text)
+    return facts.claim
 
 
 def _placed(report):
@@ -280,7 +287,7 @@ class Cluster:
         self.failovers = []     # completed failover reports
         self.mgmt_replies = {}  # request id -> mgmt_reply payload
         self._requests = {}     # unanswered request id -> mgmt payload
-        self._replicas = {}     # node name -> last pushed snapshot
+        self._applications = {}  # node name -> {application: members}
         self._tombstones = {}   # undeployed name -> former home node
         self._migrations = {}
         self._seq = itertools.count(1)
@@ -500,7 +507,7 @@ class Cluster:
                 raise ClusterError("component %r already deployed on %s"
                                    % (name, self.deployments[name]))
         if node is None:
-            claims = [descriptor.contract.cpu_usage
+            claims = [claim_of(descriptor)
                       for descriptor, _, _ in members]
             node = self.placement.choose_node(
                 *claims, pending=self._pending_load())
@@ -528,6 +535,8 @@ class Cluster:
             self.catalog[name] = entry
             self.deployments[name] = node
             self._m_deployments.inc()
+        if application is not None:
+            self._applications.setdefault(node, {})[application] = names
         self.transport.send(self.coordinator_name, node, "deploy", {
             "entries": entries,
             "application": application,
@@ -681,7 +690,7 @@ class Cluster:
             return
         migration.attempts += 1
         if migration.attempts >= self.backoff.max_attempts:
-            self._fail_migration(migration)
+            self._give_up(migration, "failed")
             return
         self._m_migration_retries.inc()
         if migration.entry is not None:
@@ -693,13 +702,13 @@ class Cluster:
                     _usage(migration.entry),
                     exclude={migration.src, migration.dst})
                 if dst is None:
-                    self._fail_migration(migration)
+                    self._give_up(migration, "failed")
                     return
                 migration.dst = dst
             self.transport.send(self.coordinator_name, migration.dst,
-                                "migrate_in", {
+                                "deploy", {
+                                    "entries": [migration.entry],
                                     "migration_id": migration.id,
-                                    "entry": migration.entry,
                                     "reply_to": self.coordinator_name,
                                 })
         elif self.nodes[migration.src].alive \
@@ -709,21 +718,23 @@ class Cluster:
         else:
             # No ledger and the source is gone: the component's fate
             # is the failover path's job (catalog fallback).
-            self._fail_migration(migration)
+            self._give_up(migration, "failed")
             return
         self._arm_migration_check(migration)
 
-    def _fail_migration(self, migration):
-        """Give up on the wire; place the component locally so it is
-        not lost."""
+    def _give_up(self, migration, outcome):
+        """End a migration that moved nothing: ``"failed"`` (no answer
+        in time, or no target left), ``"absent"`` (the source did not
+        host the component) or ``"skipped"`` (the target already
+        did); a component left homeless is placed locally."""
         migration.done = True
-        migration.outcome = "failed"
+        migration.outcome = outcome
         self._m_migration_failures.inc()
         placed = self._rescue(migration)
         self.sim.trace.record(self.sim.now, "cluster",
                               action="migration_failed",
                               component=migration.name,
-                              id=migration.id,
+                              id=migration.id, outcome=outcome,
                               fallback=placed)
         self._settle(migration)
 
@@ -758,14 +769,12 @@ class Cluster:
         return pending
 
     # ------------------------------------------------------------------
-    # replica bookkeeping and failover
+    # the record of ownership and failover
     # ------------------------------------------------------------------
     def note_replica(self, src, snapshot):
-        """Record a node's pushed state snapshot.
-
-        Also reconciles the home map and catalog -- last writer wins,
-        which converges within a push of any move."""
-        self._replicas[src] = snapshot
+        """Reconcile the home map, catalog and application record with
+        a node's pushed export -- last writer wins, which converges
+        within a push of any move."""
         carried = set()
         for entry in snapshot.get("components", ()):
             name = entry["name"]
@@ -774,31 +783,29 @@ class Cluster:
                 continue  # stale beat from before the undeploy landed
             self.catalog[name] = entry
             self.deployments[name] = src
+        self._applications.setdefault(src, {}).update(
+            snapshot.get("applications", {}))
         for name, home in list(self._tombstones.items()):
             if home == src and name not in carried:
                 del self._tombstones[name]
 
     def _on_node_dead(self, name, last_seen):
-        """Failover: re-deploy the dead node's components across the
-        survivors, one batch round per target node: its last replica's
-        entries, plus each catalog component the home map places there
-        that neither the replica nor an unfinished migration holds."""
+        """Failover: re-deploy exactly the components the home map
+        places on the dead node, each from its catalog entry and in
+        name order, across the survivors, one batch round per target
+        node.  A component an unfinished migration holds is left to
+        that migration's ledger."""
         now = self.sim.now
         self._m_failover_detect.observe(now - last_seen)
-        replica = self._replicas.pop(name, {})
-        entries = list(replica.get("components", ()))
-        skip = {entry["name"] for entry in entries}
-        skip.update(migration.name
-                    for migration in self._migrations.values()
-                    if not migration.done)
-        entries += [self.catalog[comp]
-                    for comp, home in self.deployments.items()
-                    if home == name and comp not in skip
-                    and comp in self.catalog]
-        applications = dict(replica.get("applications", {}))
-        orphans = [entry for entry in entries
-                   if not self._component_lives_somewhere(
-                       entry["name"])]
+        migrating = {migration.name
+                     for migration in self._migrations.values()
+                     if not migration.done}
+        orphans = [self.catalog[comp]
+                   for comp, home in sorted(self.deployments.items())
+                   if home == name and comp not in migrating
+                   and comp in self.catalog
+                   and not self._component_lives_somewhere(comp)]
+        applications = self._applications.pop(name, {})
         moved = self._place_groups(
             co_location_groups(orphans, applications,
                                itemgetter("name")),
@@ -809,10 +816,10 @@ class Cluster:
         for comp in unplaced:
             self.deployments.pop(comp, None)
         for app_name, members in applications.items():
-            for target in set(moved.values()):
-                if any(member in moved for member in members):
-                    self.nodes[target].drcr.define_application(
-                        app_name, members)
+            for target in sorted({moved[m] for m in members if m in moved}):
+                self.nodes[target].drcr.define_application(
+                    app_name, members)
+                self._applications.setdefault(target, {})[app_name] = members
         self._m_failovers.inc()
         self._m_failover_components.inc(len(moved))
         report = {
@@ -838,7 +845,7 @@ class Cluster:
         application); singletons are one-element groups; earlier
         groups' claims count as ``pending`` for later ones.  In-process
         on purpose: failover is the coordinator restoring from *its*
-        replica -- the dead node is unreachable, so there is no remote
+        catalog -- the dead node is unreachable, so there is no remote
         hop to model.  Returns ``{component: target node}`` for every
         entry that found a home."""
         plan = {}
@@ -869,17 +876,21 @@ class Cluster:
         kind = message.kind
         payload = message.payload
         if kind == "deploy_ack":
-            for comp in _placed(payload["report"]):
-                self.deployments[comp] = payload["node"]
-        elif kind == "undeploy_ack":
-            pass  # home map already updated optimistically
+            if payload["migration_id"] is None:
+                for comp in _placed(payload["report"]):
+                    self.deployments[comp] = payload["node"]
+            else:
+                outcome, = [bucket for bucket, names
+                            in payload["report"].items() if names]
+                self._on_migration_answer(payload, outcome)
         elif kind == "migrate_begun":
-            migration = self._migrations.get(payload["migration_id"])
-            if migration is not None and migration.entry is None:
-                migration.entry = payload["entry"]
-                self.catalog[migration.name] = payload["entry"]
-        elif kind == "migrate_ack":
-            self._on_migrate_ack(payload)
+            migration = self._migrations[payload["migration_id"]]
+            if migration.entry is None:
+                if payload["entry"] is None:  # not hosted at the source
+                    self._on_migration_answer(payload, "absent")
+                else:
+                    migration.entry = payload["entry"]
+                    self.catalog[migration.name] = payload["entry"]
         elif kind == "mgmt_reply":
             self._on_mgmt_reply(payload)
         elif kind == "snapshot_push":
@@ -894,31 +905,28 @@ class Cluster:
                                   node=payload["node"],
                                   count=len(payload["undeployed"]))
 
-    def _on_migrate_ack(self, payload):
-        migration = self._migrations.get(payload["migration_id"])
-        if migration is None or migration.done:
+    def _on_migration_answer(self, payload, outcome):
+        """A migration's answer: the target's ``deploy_ack`` outcome,
+        or ``"absent"`` from a source that does not host it."""
+        migration = self._migrations[payload["migration_id"]]
+        if migration.done:
+            return
+        migration.completed_ns = self.sim.now
+        if outcome not in _PLACED_OUTCOMES:
+            self._give_up(migration, outcome)
             return
         migration.done = True
-        migration.outcome = payload["outcome"]
-        migration.completed_ns = self.sim.now
-        if payload["outcome"] in _PLACED_OUTCOMES:
-            self.deployments[migration.name] = payload["node"]
-            self._m_migrations.inc()
-            self._m_migration_latency.observe(
-                self.sim.now - migration.initiated_ns)
-            self.sim.trace.record(self.sim.now, "cluster",
-                                  action="migrated",
-                                  component=migration.name,
-                                  dst=payload["node"],
-                                  outcome=payload["outcome"],
-                                  latency_ns=self.sim.now
-                                  - migration.initiated_ns)
-        else:
-            # "absent"/"skipped": nothing moved on the target.  If the
-            # source already let go (its migrate_begun and migrate_in
-            # were both lost) the component is homeless.
-            self._m_migration_failures.inc()
-            self._rescue(migration)
+        migration.outcome = outcome
+        self.deployments[migration.name] = payload["node"]
+        self._m_migrations.inc()
+        self._m_migration_latency.observe(
+            self.sim.now - migration.initiated_ns)
+        self.sim.trace.record(self.sim.now, "cluster",
+                              action="migrated",
+                              component=migration.name,
+                              dst=payload["node"], outcome=outcome,
+                              latency_ns=self.sim.now
+                              - migration.initiated_ns)
         self._settle(migration)
 
     # ------------------------------------------------------------------

@@ -19,11 +19,17 @@ with an LDAP filter on ``drcom.name`` -- exactly how a local §2.4
 client would find it.  The transport handler is a thin parser that
 ends in those service calls.
 
+Every landing is one ``deploy`` message answered by one
+``deploy_ack``: a deploy from the coordinator, or a migration's
+hand-off from the source node, whose ``migration_id`` the ack echoes.
+An ``undeploy`` is not answered.
+
 Replication is one message the node sends unasked: on each membership
 tick :meth:`ClusterNode.push_export` ships the node's export to the
 coordinator in a ``snapshot_push`` when it differs from the one last
-sent, or when the membership rotation forces it.  Failover restores a
-dead node's components from that replica.
+sent, or when the membership rotation forces it.  The coordinator
+reconciles its home map, catalog and application record with it;
+failover restores a dead node's components from that record.
 """
 
 from repro.core.drcr import DRCR
@@ -53,7 +59,8 @@ class NodeManagementService:
     :data:`NODE_MANAGEMENT_INTERFACE`), so local bundles and the remote
     deployment protocol share one entry point.  :meth:`deploy_entries`
     is the one way the cluster lands components on the node: remote
-    deploys, migration hand-offs and failover re-homing all call it.
+    deploys, migration hand-offs (both ``deploy`` messages) and
+    failover re-homing all call it.
     """
 
     def __init__(self, node):
@@ -211,27 +218,12 @@ class ClusterNode(Platform):
             self.transport.send(self.name, reply_to, "deploy_ack", {
                 "node": self.name,
                 "report": report,
+                "migration_id": payload.get("migration_id"),
             })
         elif kind == "undeploy":
-            outcome = self.management.undeploy(payload["name"])
-            self.transport.send(self.name, reply_to, "undeploy_ack", {
-                "name": payload["name"],
-                "node": self.name,
-                "outcome": outcome,
-            })
+            self.management.undeploy(payload["name"])
         elif kind == "migrate_out":
             self._handle_migrate_out(payload, reply_to)
-        elif kind == "migrate_in":
-            entry = payload["entry"]
-            report = self.management.deploy_entries([entry])
-            outcome, = [bucket for bucket, names in report.items()
-                        if names]
-            self.transport.send(self.name, reply_to, "migrate_ack", {
-                "migration_id": payload["migration_id"],
-                "name": entry["name"],
-                "node": self.name,
-                "outcome": outcome,
-            })
         elif kind == "mgmt":
             self._handle_mgmt(payload, reply_to)
         elif kind == "fence":
@@ -245,28 +237,25 @@ class ClusterNode(Platform):
         """Source side of a migration: export, hand off, withdraw.
 
         The entry is exported *before* the local undeploy (the live
-        properties must survive the teardown), shipped to the target,
-        and copied to the coordinator as its retry ledger."""
+        properties must survive the teardown), copied to the
+        coordinator as its retry ledger (``migrate_begun``; no entry
+        when this node does not host the component), and sent to the
+        target as one ``deploy``."""
         name = payload["name"]
         migration_id = payload["migration_id"]
-        if name not in self.drcr.registry:
-            self.transport.send(self.name, reply_to, "migrate_ack", {
-                "migration_id": migration_id,
-                "name": name,
-                "node": self.name,
-                "outcome": "absent",
-            })
-            return
-        entry = export_component_entry(
-            self.drcr.registry.maybe_get(name))
+        component = self.drcr.registry.maybe_get(name)
+        entry = None if component is None \
+            else export_component_entry(component)
         self.transport.send(self.name, reply_to, "migrate_begun", {
             "migration_id": migration_id,
             "entry": entry,
         })
+        if entry is None:
+            return
         self.management.undeploy(name)
-        self.transport.send(self.name, payload["dst"], "migrate_in", {
+        self.transport.send(self.name, payload["dst"], "deploy", {
+            "entries": [entry],
             "migration_id": migration_id,
-            "entry": entry,
             "reply_to": reply_to,
         })
 

@@ -31,8 +31,10 @@ class ClusterPlacementService:
 
     def choose_node(self, *claims, exclude=(), pending=None):
         """The alive node :func:`~repro.core.placement.best_node`
-        picks for ``claims`` (a co-located group lands whole), or
-        ``None``; nodes in ``alive_nodes()`` order, minus ``exclude``.
+        picks for ``claims`` (a co-located group lands whole; a
+        :class:`~repro.core.placement.PinnedClaim` takes only its own
+        CPU), or ``None``; nodes in ``alive_nodes()`` order, minus
+        ``exclude``.
         ``pending`` maps a node name to claims promised to it but not
         yet in its registry, packed onto its CPUs first."""
         names = []

@@ -12,11 +12,12 @@ A descriptor can opt out per component with the property
 ``drcom.placement = "pinned"`` (the design-time pin is then honoured).
 
 This module is the one owner of the declared-budget placement
-decision: :func:`fits`, :func:`best_fit`, :func:`pack`,
-:func:`best_node`, :func:`is_pinned` and :func:`co_location_groups`.
-Admission, CPU and node placement, graceful degradation and failover
-call them at run time, and the DRT601/DRT602 plan analyzers call them
-on plan data, so the linter and the runtime agree by construction.
+decision: :func:`fits`, :func:`best_fit`, :func:`cpu_for`,
+:func:`pack`, :func:`best_node`, :func:`is_pinned`, :func:`claim_of`
+and :func:`co_location_groups`.  Admission, CPU and node placement,
+graceful degradation and failover call them at run time, and the
+DRT601/DRT602 plan analyzers call them on plan data, so the linter and
+the runtime agree by construction.
 """
 
 import itertools
@@ -50,13 +51,42 @@ def best_fit(loads, claim, caps):
     return best
 
 
+class PinnedClaim(float):
+    """A declared CPU claim only CPU ``cpu`` may take: what a
+    ``drcom.placement=pinned`` component claims (:func:`claim_of`).
+    A float, so sums and formatting read it as its usage."""
+
+    __slots__ = ("cpu",)
+
+    def __new__(cls, usage, cpu):
+        claim = super().__new__(cls, usage)
+        claim.cpu = cpu
+        return claim
+
+    def __repr__(self):
+        return "PinnedClaim(%r, cpu=%d)" % (float(self), self.cpu)
+
+
+def cpu_for(loads, claim, caps):
+    """The CPU a node's admission puts ``claim`` on, given per-CPU
+    ``loads``, or ``None`` when it rejects it: a :class:`PinnedClaim`
+    takes only its own CPU, any other claim the :func:`best_fit` CPU
+    :class:`BestFitPlacement` picks."""
+    if isinstance(claim, PinnedClaim):
+        cpu = claim.cpu
+        if cpu < len(loads) and fits(loads[cpu] + claim, caps[cpu]):
+            return cpu
+        return None
+    return best_fit(loads, claim, caps)
+
+
 def pack(loads, claims, caps):
-    """Best-fit ``claims`` in turn onto the per-CPU ``loads``, in
-    place, as :class:`BestFitPlacement` admits them one by one;
-    returns how many found no CPU (admission rejects those)."""
+    """Put ``claims`` in turn onto the per-CPU ``loads``, in place, on
+    the :func:`cpu_for` CPU, as a node admits them one by one; returns
+    how many found no CPU (admission rejects those)."""
     misses = 0
     for claim in claims:
-        cpu = best_fit(loads, claim, caps)
+        cpu = cpu_for(loads, claim, caps)
         if cpu is None:
             misses += 1
         else:
@@ -70,10 +100,10 @@ def best_node(nodes, claims):
 
     ``nodes`` lists ``(total, loads, caps)`` per node.  A node takes
     the claims when :func:`pack` places them all on its CPUs, as its
-    own :class:`BestFitPlacement` would; the least ``total`` of those
-    wins, ties going to the first.  ``packed`` is a new list: the
-    winner's ``loads`` with the claims on.  The one node-choice rule:
-    deploys, migration, failover and DRT602 all choose here.
+    own admission would; the least ``total`` of those wins, ties going
+    to the first.  ``packed`` is a new list: the winner's ``loads``
+    with the claims on.  The one node-choice rule: deploys, migration,
+    failover and DRT602 all choose here.
     """
     best = None
     best_total = None
@@ -90,6 +120,16 @@ def best_node(nodes, claims):
 def is_pinned(descriptor):
     """Whether the descriptor opts out of automatic placement."""
     return descriptor.property_value("drcom.placement") == "pinned"
+
+
+def claim_of(descriptor):
+    """The claim :func:`pack` places for ``descriptor``: its declared
+    usage, as a :class:`PinnedClaim` on its CPU when it
+    :func:`is_pinned`."""
+    usage = descriptor.contract.cpu_usage
+    if is_pinned(descriptor):
+        return PinnedClaim(usage, descriptor.contract.cpu)
+    return usage
 
 
 def co_location_groups(items, applications, name_of):

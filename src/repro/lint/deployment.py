@@ -43,9 +43,9 @@ directory.  The checks:
 * **DRT602** -- no N-1 failover headroom: for each node, simulate its
   loss and re-place its components group by group over the survivors
   (the least-loaded survivor whose CPUs can place the group, on the
-  per-CPU loads of DRT601's replay; co-location groups move whole);
-  any group left without a home means the fleet is one crash away
-  from stranding it;
+  per-CPU loads of DRT601's replay, a pinned claim on its own CPU
+  only; co-location groups move whole); any group left without a home
+  means the fleet is one crash away from stranding it;
 * **DRT603** -- a wired application split across nodes (or an inport
   whose only signature-compatible providers live on other nodes):
   ports bind inside one node's kernel, so the runtime can never
@@ -92,7 +92,7 @@ from repro.adapt.rules import parse_rule_document_tolerant
 from repro.analysis import TaskSpec, response_time
 from repro.cluster.transport import LinkSpec
 from repro.core.placement import (
-    best_fit, best_node, co_location_groups, fits, is_pinned)
+    PinnedClaim, best_node, co_location_groups, cpu_for)
 from repro.lint import memo
 # Shared interval arithmetic: DRT606 must agree with DRT503 about
 # when two rule conditions can hold in the same epoch.
@@ -151,15 +151,17 @@ class PlanNode:
 
 
 class PlanComponent:
-    """One descriptor assignment: text, parsed form (or None), home."""
+    """One descriptor assignment: text, parsed form (or None), home,
+    and the CPU claim (:func:`~repro.core.placement.claim_of`)."""
 
-    __slots__ = ("xml", "location", "node", "descriptor")
+    __slots__ = ("xml", "location", "node", "descriptor", "claim")
 
-    def __init__(self, xml, location, node, descriptor):
+    def __init__(self, xml, location, node, descriptor, claim):
         self.xml = xml
         self.location = location
         self.node = node
         self.descriptor = descriptor
+        self.claim = claim
 
 
 class DeploymentPlan:
@@ -340,7 +342,7 @@ def _parse_deployments(document, plan, base_dir, problems):
                     continue
                 homes[descriptor.name] = node_name
             plan.add_component(PlanComponent(
-                text, comp_location, node_name, descriptor))
+                text, comp_location, node_name, descriptor, facts.claim))
 
 
 def _parse_applications(document, plan, problems):
@@ -482,10 +484,10 @@ def _local_nodes(plan, nodes):
 def _check_hosting(plan, nodes=None):
     """DRT601: every node must fit its own components.
 
-    Replays each node's admission statically, in plan order: pinned
-    components (:func:`~repro.core.placement.is_pinned`) claim their
-    declared CPU, everything else takes the
-    :func:`~repro.core.placement.best_fit` CPU that
+    Replays each node's admission statically, in plan order: each
+    component's :func:`~repro.core.placement.claim_of` goes where
+    :func:`~repro.core.placement.cpu_for` puts it -- a pinned one on its
+    declared CPU only, everything else on the CPU
     :class:`~repro.core.placement.BestFitPlacement` picks at deploy
     time.  Returns the findings for the node-local ``nodes`` (as for
     :func:`lint_plan_document`) and every node's replayed
@@ -500,36 +502,30 @@ def _check_hosting(plan, nodes=None):
         loads = [0.0] * node.num_cpus
         caps = [node.cap] * node.num_cpus
         for comp in _enabled_components(plan, node_name):
-            usage = comp.descriptor.contract.cpu_usage
-            if is_pinned(comp.descriptor):
-                cpu = comp.descriptor.contract.cpu
-                if cpu >= node.num_cpus:
-                    found.append(Diagnostic(
-                        "DRT601", comp.descriptor.name, comp.location,
-                        "pinned to CPU %d, but node %r declares only "
-                        "%d CPU(s)" % (cpu, node_name, node.num_cpus)))
-                    continue
-                if not fits(loads[cpu] + usage, node.cap):
-                    found.append(Diagnostic(
-                        "DRT601", comp.descriptor.name, comp.location,
-                        "pinned claim %.3f does not fit CPU %d of "
-                        "node %r (load already %.3f, cap %.2f)"
-                        % (usage, cpu, node_name, loads[cpu],
-                           node.cap)))
-                    continue
-                loads[cpu] += usage
-                continue
-            best = best_fit(loads, usage, caps)
-            if best is None:
+            claim = comp.claim
+            cpu = cpu_for(loads, claim, caps)
+            if cpu is not None:
+                loads[cpu] += claim
+            elif not isinstance(claim, PinnedClaim):
                 found.append(Diagnostic(
                     "DRT601", comp.descriptor.name, comp.location,
                     "node %r cannot place %s (claim %.3f): per-CPU "
                     "loads are %s at cap %.2f; admission on this "
                     "node would reject it"
-                    % (node_name, comp.descriptor.name, usage,
+                    % (node_name, comp.descriptor.name, claim,
                        ["%.3f" % load for load in loads], node.cap)))
+            elif claim.cpu >= node.num_cpus:
+                found.append(Diagnostic(
+                    "DRT601", comp.descriptor.name, comp.location,
+                    "pinned to CPU %d, but node %r declares only "
+                    "%d CPU(s)" % (claim.cpu, node_name, node.num_cpus)))
             else:
-                loads[best] += usage
+                found.append(Diagnostic(
+                    "DRT601", comp.descriptor.name, comp.location,
+                    "pinned claim %.3f does not fit CPU %d of "
+                    "node %r (load already %.3f, cap %.2f)"
+                    % (claim, claim.cpu, node_name, loads[claim.cpu],
+                       node.cap)))
         fleet[node_name] = (sum(loads), loads, caps)
     return diagnostics, fleet
 
@@ -538,10 +534,13 @@ def _check_failover_capacity(plan, fleet):
     """DRT602: simulate each node's loss; survivors must absorb it.
 
     Replays runtime failover on plan data: the lost node's
-    :func:`~repro.core.placement.co_location_groups` each go to the
-    survivor :func:`~repro.core.placement.best_node` picks (plan node
-    order) in the ``fleet`` DRT601 replayed, and each placed group's
-    claims count against later groups, as failover's ``pending`` does.
+    :func:`~repro.core.placement.co_location_groups`, in plan (name)
+    order, each go to the survivor
+    :func:`~repro.core.placement.best_node` picks for the members'
+    :func:`~repro.core.placement.claim_of` claims (a pinned one takes
+    only its own CPU), over the ``fleet`` DRT601 replayed in plan node
+    order; each placed group's claims count against later groups, as
+    failover's ``pending`` does.
     N-1 analysis needs at least two nodes; single-node plans are
     skipped.
     """
@@ -556,8 +555,7 @@ def _check_failover_capacity(plan, fleet):
                      if name != dead]
         for group in co_location_groups(members, plan.applications,
                                         _component_name):
-            claims = [comp.descriptor.contract.cpu_usage
-                      for comp in group]
+            claims = [comp.claim for comp in group]
             chosen = best_node(survivors, claims)
             if chosen is None:
                 names = ", ".join(sorted(comp.descriptor.name

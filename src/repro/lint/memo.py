@@ -9,8 +9,9 @@ component's XML changes only when the DRCR re-pins its CPU
 (``runoncpu``).  :func:`descriptor_facts`, a bounded LRU memo keyed on
 the descriptor XML text, serves the repeats: the parsed
 :class:`~repro.core.descriptor.ComponentDescriptor` (or the
-parse-error string) and the raw-schema DRT104/DRT107 findings as
-location-free ``(code, component, message)`` tuples.  Every
+parse-error string), the raw-schema DRT104/DRT107 findings as
+location-free ``(code, component, message)`` tuples, and the CPU
+claim placement packs (:func:`~repro.core.placement.claim_of`).  Every
 descriptor text the engine, the plan parser and the cluster's
 placement claims read goes through it; lint callers stamp their own
 location on the findings and apply their own ``families`` filter.
@@ -31,6 +32,7 @@ import functools
 from repro.core.descriptor import ComponentDescriptor, \
     parse_descriptor_tree
 from repro.core.errors import DRComError
+from repro.core.placement import claim_of
 from repro.lint.contracts import tree_findings
 from repro.lint.diagnostics import Diagnostic
 
@@ -40,12 +42,14 @@ DESCRIPTOR_MEMO_SIZE = 256
 
 
 class DescriptorFacts(collections.namedtuple(
-        "DescriptorFacts", ("descriptor", "error", "schema"))):
+        "DescriptorFacts", ("descriptor", "error", "schema", "claim"))):
     """What lint knows about one descriptor text.
 
     ``descriptor`` is the parsed descriptor or None, ``error`` the
     parse-error message when it is None, ``schema`` the DRT104/DRT107
-    findings as ``(code, component, message)`` tuples.
+    findings as ``(code, component, message)`` tuples, ``claim`` the
+    descriptor's :func:`~repro.core.placement.claim_of` (None without
+    a descriptor).
     """
 
     __slots__ = ()
@@ -65,13 +69,13 @@ def descriptor_facts(text):
     try:
         root = parse_descriptor_tree(text)
     except DRComError as error:
-        return DescriptorFacts(None, str(error), ())
+        return DescriptorFacts(None, str(error), (), None)
     schema = tuple(tree_findings(root))
     try:
         descriptor = ComponentDescriptor.from_element(root)
     except DRComError as error:
-        return DescriptorFacts(None, str(error), schema)
-    return DescriptorFacts(descriptor, None, schema)
+        return DescriptorFacts(None, str(error), schema, None)
+    return DescriptorFacts(descriptor, None, schema, claim_of(descriptor))
 
 
 def clear():

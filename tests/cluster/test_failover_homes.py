@@ -1,11 +1,19 @@
-"""Failover re-homes everything the home map places on the dead node.
+"""Failover re-homes exactly what the coordinator's home map holds.
 
-A node's replica is its last ``snapshot_push``; a component deployed
-or migrated onto it after that push is in the coordinator's home map
-and catalog but not in the replica.  Failover restores the replica's
-entries and then, from the catalog, every component the home map
-still places on the dead node, so such a component is not lost.
+The home map (``Cluster.deployments``) and ``catalog`` are the one
+record of ownership: a deploy writes them at once, a node's
+``snapshot_push`` reconciles them, and failover plans exactly the
+components the home map places on the dead node, each from its
+catalog entry and in name order.  So a component deployed after the
+node's last push is re-homed, one undeployed after it stays gone, a
+wired application deployed after it moves whole (the coordinator
+records the grouping at deploy time), and a component an unfinished
+migration holds is left to that migration, even when the dead node's
+last push still carried it.  A migration's hand-off is one ``deploy``
+answered by one ``deploy_ack``; no ``undeploy_ack`` is sent.
 """
+
+import collections
 
 import pytest
 
@@ -17,6 +25,8 @@ from conftest import make_descriptor_xml
 
 SURVIVORS = {"node1", "node2"}
 
+PORT = ("WIRE00", "RTAI.SHM", "Integer", 2)
+
 
 @pytest.fixture
 def cluster():
@@ -24,6 +34,17 @@ def cluster():
                 heartbeat_interval_ns=10 * MSEC)
     yield c
     c.shutdown()
+
+
+def pushes(cluster):
+    """Snapshot pushes the coordinator has taken in so far."""
+    return cluster.sim.telemetry.registry("cluster").get(
+        "snapshot_pushes_total").value
+
+
+def hosts(cluster, name):
+    return [node.name for node in cluster.alive_nodes()
+            if name in node.drcr.registry]
 
 
 def assert_re_homed(cluster, name):
@@ -41,9 +62,16 @@ def assert_re_homed(cluster, name):
     assert reply["ok"] and reply["node"] == home
 
 
+def slow_hand_off(cluster):
+    """Make node0's hand-off to node1, and its re-sends, take 60 ms."""
+    slow = LinkSpec(latency_ns=60 * MSEC)
+    cluster.transport.set_link("node0", "node1", slow)
+    cluster.transport.set_link("control", "node1", slow)
+
+
 def test_a_deploy_after_the_last_push_is_re_homed(cluster):
     cluster.run_for(11 * MSEC)
-    assert "node0" in cluster._replicas  # pushed on the 10 ms tick
+    assert pushes(cluster) == 3  # every node pushed on the 10 ms tick
     cluster.deploy(make_descriptor_xml("AAA000", cpuusage=0.2),
                    node="node0")
     cluster.run_for(1 * MSEC)
@@ -68,14 +96,13 @@ def test_a_replicated_component_moves_once(cluster):
     cluster.deploy(make_descriptor_xml("BBB000", cpuusage=0.2),
                    node="node0")
     cluster.run_for(25 * MSEC)
-    assert [entry["name"] for entry
-            in cluster._replicas["node0"]["components"]] == ["BBB000"]
+    # node0's push replaced the deploy's catalog entry with its export,
+    # live properties included.
+    assert "properties" in cluster.catalog["BBB000"]
     cluster.crash_node("node0")
     cluster.run_for(300 * MSEC)
     assert_re_homed(cluster, "BBB000")
-    hosts = [node.name for node in cluster.alive_nodes()
-             if "BBB000" in node.drcr.registry]
-    assert hosts == [cluster.deployments["BBB000"]]
+    assert hosts(cluster, "BBB000") == [cluster.deployments["BBB000"]]
 
 
 def test_a_component_mid_migration_is_left_to_its_migration(cluster):
@@ -88,12 +115,13 @@ def test_a_component_mid_migration_is_left_to_its_migration(cluster):
     cluster.deploy(make_descriptor_xml("BBB000", cpuusage=0.1),
                    node="node1")
     cluster.run_for(11 * MSEC)
-    slow = LinkSpec(latency_ns=60 * MSEC)
-    cluster.transport.set_link("node0", "node1", slow)
-    cluster.transport.set_link("control", "node1", slow)
+    slow_hand_off(cluster)
     migration_id = cluster.migrate("AAA000", "node1")
-    cluster.run_for(10 * MSEC)
-    assert cluster._replicas["node0"]["components"] == []
+    cluster.run_for(1 * MSEC)
+    assert len(cluster.node("node0").drcr.registry) == 0
+    pushed = pushes(cluster)
+    cluster.run_for(9 * MSEC)
+    assert pushes(cluster) > pushed  # node0's export changed: it pushed
     assert cluster.deployments["AAA000"] == "node0"
     cluster.crash_node("node0")
     cluster.run_for(300 * MSEC)
@@ -101,6 +129,83 @@ def test_a_component_mid_migration_is_left_to_its_migration(cluster):
     assert report["node"] == "node0"
     assert report["moved"] == {} and report["unplaced"] == []
     assert cluster.migration(migration_id)["outcome"] == "restored"
-    hosts = [node.name for node in cluster.alive_nodes()
-             if "AAA000" in node.drcr.registry]
-    assert hosts == ["node1"] == [cluster.deployments["AAA000"]]
+    assert hosts(cluster, "AAA000") == ["node1"] \
+        == [cluster.deployments["AAA000"]]
+
+
+def test_a_hand_off_the_last_push_missed_leaves_one_host(cluster):
+    # node0's 10 ms push still carries AAA000 when it hands it to
+    # node1 at 11 ms and dies at 12 ms, before its next push.
+    cluster.deploy(make_descriptor_xml("AAA000", cpuusage=0.2),
+                   node="node0")
+    cluster.deploy(make_descriptor_xml("BBB000", cpuusage=0.1),
+                   node="node1")
+    cluster.run_for(11 * MSEC)
+    slow_hand_off(cluster)
+    cluster.migrate("AAA000", "node1")
+    cluster.run_for(1 * MSEC)
+    cluster.crash_node("node0")
+    cluster.run_for(300 * MSEC)
+    assert cluster.failovers[-1]["node"] == "node0"
+    assert hosts(cluster, "AAA000") == [cluster.deployments["AAA000"]]
+
+
+def test_an_undeploy_after_the_last_push_stays_undeployed(cluster):
+    cluster.deploy(make_descriptor_xml("AAA000", cpuusage=0.2),
+                   node="node0")
+    cluster.run_for(25 * MSEC)  # node0 pushed AAA000 at 20 ms
+    cluster.undeploy("AAA000")
+    cluster.run_for(1 * MSEC)
+    cluster.crash_node("node0")
+    cluster.run_for(300 * MSEC)
+    report = cluster.failovers[-1]
+    assert report["node"] == "node0"
+    assert report["moved"] == {} and report["unplaced"] == []
+    assert "AAA000" not in cluster.deployments
+    assert hosts(cluster, "AAA000") == []
+
+
+def test_an_application_deployed_after_the_last_push_moves_whole(
+        cluster):
+    cluster.run_for(11 * MSEC)
+    cluster.deploy_application("pipe", [
+        make_descriptor_xml("PROV00", cpuusage=0.3, outports=[PORT]),
+        make_descriptor_xml("CONS00", cpuusage=0.3, frequency=250,
+                            priority=3, inports=[PORT]),
+    ], node="node0")
+    cluster.run_for(1 * MSEC)
+    cluster.crash_node("node0")
+    cluster.run_for(300 * MSEC)
+    moved = cluster.failovers[-1]["moved"]
+    assert sorted(moved) == ["CONS00", "PROV00"]
+    assert moved["PROV00"] == moved["CONS00"]
+    target = cluster.node(moved["CONS00"])
+    assert target.drcr.component_state("CONS00") \
+        is ComponentState.ACTIVE
+    assert target.drcr.applications()["pipe"] == ["PROV00", "CONS00"]
+
+
+def test_no_retired_reply_kinds_are_sent(cluster, monkeypatch):
+    kinds = collections.Counter()
+    send = cluster.transport.send
+
+    def counting_send(src, dst, kind, payload=None):
+        kinds[kind] += 1
+        return send(src, dst, kind, payload)
+
+    monkeypatch.setattr(cluster.transport, "send", counting_send)
+    for name in ("AAA000", "BBB000", "CCC000"):
+        cluster.deploy(make_descriptor_xml(name, cpuusage=0.1),
+                       node="node0")
+    cluster.run_for(20 * MSEC)
+    migration_id = cluster.migrate("AAA000", "node1")
+    cluster.undeploy("BBB000")
+    cluster.run_for(20 * MSEC)
+    cluster.crash_node("node0")
+    cluster.run_for(300 * MSEC)
+    assert cluster.migration(migration_id)["outcome"] == "restored"
+    assert cluster.failovers[-1]["moved"].keys() == {"CCC000"}
+    assert kinds["deploy"] == 4 and kinds["deploy_ack"] == 4
+    assert kinds["migrate_out"] == kinds["migrate_begun"] == 1
+    assert kinds["undeploy"] == 1
+    assert not {"migrate_in", "migrate_ack", "undeploy_ack"} & set(kinds)
