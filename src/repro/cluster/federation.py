@@ -877,8 +877,12 @@ class Cluster:
         payload = message.payload
         if kind == "deploy_ack":
             if payload["migration_id"] is None:
+                # A name undeployed while its deploy was on the wire
+                # has left the catalog: re-homing it would leave a
+                # ghost with no host in the home map.
                 for comp in _placed(payload["report"]):
-                    self.deployments[comp] = payload["node"]
+                    if comp in self.catalog:
+                        self.deployments[comp] = payload["node"]
             else:
                 outcome, = [bucket for bucket, names
                             in payload["report"].items() if names]

@@ -6,11 +6,13 @@ whose functionality is defined by the methods of a standard object"
 the paper's prescribed loop -- functional routine first, then a
 *non-blocking* poll of the command mailbox ("when the task finishes its
 main functional routine, it tries to read command message sent
-asynchronously", section 3.2).
+asynchronously", section 3.2).  A non-blocking receive completes at
+once, so the poll reads the mailbox directly instead of yielding a
+``Receive`` request for the kernel to run the same code.
 """
 
 from repro.hybrid.protocol import CommandKind, Reply
-from repro.rtos.requests import Compute, Receive, SuspendSelf, WaitPeriod
+from repro.rtos.requests import Compute, SuspendSelf, WaitPeriod
 from repro.rtos.task import TaskType
 
 
@@ -40,7 +42,7 @@ class RealTimePart:
             self.implementation.execute(ctx)
             ctx.job_index += 1
             # Asynchronous management poll -- never blocks (section 3.2).
-            suspend = yield from self._poll_commands()
+            suspend = self._poll_commands()
             if suspend == "stop":
                 return
             if suspend == "suspend":
@@ -53,20 +55,20 @@ class RealTimePart:
             yield Compute(compute)
         self.implementation.execute(ctx)
         ctx.job_index += 1
-        yield from self._poll_commands()
+        self._poll_commands()
 
     # ------------------------------------------------------------------
     def _poll_commands(self):
         """Drain the command mailbox without blocking.
 
         Returns "suspend"/"stop" when such a command arrived, else None.
-        Implemented as a sub-generator: the Receive requests still flow
-        through the kernel.
+        Reads through ``receive_external``, the code a non-blocking
+        ``Receive`` request runs in the kernel.
         """
+        receive = self.bridge.command_mailbox.receive_external
         outcome = None
         while True:
-            command = yield Receive(self.bridge.command_mailbox,
-                                    blocking=False)
+            command = receive()
             if command is None:
                 return outcome
             result = self._handle(command)

@@ -15,10 +15,21 @@ Execution model
 A task body is a generator; the kernel drives it (see
 :mod:`repro.rtos.requests`).  ``Compute`` segments occupy the CPU and are
 preemptible; every other request is processed in zero simulated time at
-the instant it is yielded.  All rescheduling is funnelled through a
-coalesced same-instant event (``_request_resched``) so that arbitrarily
-deep wake chains (a send waking a receiver waking a sender...) settle
-deterministically before time advances.
+the instant it is yielded.  Every dispatch decision is funnelled
+through one coalesced same-instant event per CPU (``_do_resched``) so
+that arbitrarily deep wake chains (a send waking a receiver waking a
+sender...) settle deterministically before time advances.
+
+A request queues that event only when it can dispatch something: never
+while the CPU's ready set is empty, and never for a newly ready task
+the scheduler says cannot preempt the running one
+(:meth:`~repro.rtos.scheduler.Scheduler.cannot_preempt`).  Such a
+request still *reserves* the place its pass would take among the
+instant's late events: when this kernel queues another late event at
+the same instant, the reserved passes are queued first, in reservation
+order.  So every pass that dispatches runs at the place a pass queued
+on every request would have, and the passes left out would have found
+nothing to do.
 """
 
 import heapq
@@ -100,6 +111,10 @@ class RTKernel:
         self._running = {cpu: None for cpu in cpus}
         self._segment_start = {cpu: None for cpu in cpus}
         self._resched_pending = {cpu: False for cpu in cpus}
+        # CPUs whose pass was reserved (module docstring), in
+        # reservation order; they stand while _reserved_at is now.
+        self._reserved = []
+        self._reserved_at = None
         self._rt_busy_ns = {cpu: 0 for cpu in cpus}
         # Linux-domain accounting.
         self._loads = []
@@ -118,15 +133,17 @@ class RTKernel:
         self._name_marks = {}
         self._released_names = {}
         self.tasks = []
-        # Hot-path caches: dispatch cost is a property sum, the latency
-        # model's sample entry is a bound method, and the zero-offset
-        # flag lets the null model skip the whole sampling path (no RNG
-        # stream touch, no Linux-demand aggregation) per release.
+        # Hot-path caches: dispatch cost is a property sum, and the
+        # zero-offset flag lets the null model skip the whole sampling
+        # path (no RNG stream touch) per release.  Otherwise a release
+        # draws from its task's own stream with the (plain, hybrid)
+        # profile pair of the Linux load in force, which only
+        # register_load/unregister_load change.
         self._dispatch_cost = self.config.dispatch_cost_ns
         self._irq_entry = self.config.irq_entry_ns
-        self._sample_offset = self.config.latency_model.sample_release_offset
         self._zero_offset = getattr(self.config.latency_model,
                                     "zero_offset", False)
+        self._refresh_linux_demand()
         # Round-robin is off by default; when it is, _begin_compute can
         # skip the quantum-arming helper entirely.
         self._rr_enabled = bool(self.config.rr_quantum_ns)
@@ -285,12 +302,13 @@ class RTKernel:
     @property
     def linux_demand(self):
         """Aggregate Linux-side CPU demand in [0, 1] per CPU."""
-        return min(1.0, sum(load.demand for load in self._loads))
+        return self._linux_demand
 
     def register_load(self, load):
         """Attach a Linux-domain load generator."""
         self._settle_linux_accounting()
         self._loads.append(load)
+        self._refresh_linux_demand()
         load.attached(self)
         self._trace("load_register", load=load.describe(),
                     demand=self.linux_demand)
@@ -299,9 +317,21 @@ class RTKernel:
         """Detach a Linux-domain load generator."""
         self._settle_linux_accounting()
         self._loads.remove(load)
+        self._refresh_linux_demand()
         load.detached(self)
         self._trace("load_unregister", load=load.describe(),
                     demand=self.linux_demand)
+
+    def _refresh_linux_demand(self):
+        """Re-sum the registered loads' demand (read-only per load) and
+        re-pick the latency model's (plain, hybrid) release profiles."""
+        self._linux_demand = min(1.0, sum(load.demand
+                                          for load in self._loads))
+        if not self._zero_offset:
+            model = self.config.latency_model
+            mode = model.mode_for(self._linux_demand)
+            self._release_profiles = (model.profile(mode, False),
+                                      model.profile(mode, True))
 
     def _busy_now(self, cpu):
         busy = self._rt_busy_ns[cpu]
@@ -358,7 +388,7 @@ class RTKernel:
                       task_type=task_type, period_ns=period_ns,
                       deadline_ns=deadline_ns,
                       collect_latency=collect_latency)
-        task.hybrid = hybrid
+        task.hybrid = bool(hybrid)
         self._register(task.name, task)
         self.tasks.append(task)
         self._trace("task_create", task=task.name, priority=task.priority,
@@ -670,11 +700,11 @@ class RTKernel:
             return
         nominal = task._next_release
         if self._zero_offset:
-            # Null latency model: skip RNG/demand sampling entirely.
+            # Null latency model: skip RNG sampling entirely.
             fire = nominal + self._irq_entry
         else:
-            offset = self._sample_offset(
-                self.sim.rng, task.name, self.linux_demand, task.hybrid)
+            offset = self._release_profiles[task.hybrid].draw(
+                self._latency_stream(task))
             fire = nominal + offset + self._irq_entry
         floor = self.sim.now + 1
         if fire < floor:
@@ -682,6 +712,14 @@ class RTKernel:
         task._release_event = self.sim.schedule_interrupt(
             fire, self._on_release, task, nominal,
             label=task._label_release)
+
+    def _latency_stream(self, task):
+        """The task's ``latency/<name>`` jitter stream, looked up once."""
+        stream = task._latency_stream
+        if stream is None:
+            stream = task._latency_stream = self.sim.rng.stream(
+                "latency/" + task.name)
+        return stream
 
     def _on_release(self, task, nominal):
         """A periodic release interrupt reached the scheduler.
@@ -704,8 +742,11 @@ class RTKernel:
         if self._zero_offset:
             fire = chained + self._irq_entry
         else:
-            fire = chained + self._irq_entry + self._sample_offset(
-                sim.rng, task.name, self.linux_demand, task.hybrid)
+            stream = task._latency_stream
+            if stream is None:
+                stream = self._latency_stream(task)
+            fire = chained + self._irq_entry \
+                + self._release_profiles[task.hybrid].draw(stream)
         floor = sim._now + 1
         if fire < floor:
             fire = floor
@@ -732,14 +773,23 @@ class RTKernel:
             # (inline _make_ready + _request_resched)
             task.state = TaskState.READY
             cpu = task.cpu
-            self._schedulers[cpu].add(task)
+            scheduler = self._schedulers[cpu]
+            scheduler.add(task)
             running = self._running[cpu]
-            if running is not None and running.priority == task.priority:
-                self._arm_quantum(running)
+            if running is not None:
+                if running.priority == task.priority:
+                    self._arm_quantum(running)
+                if scheduler.cannot_preempt(task, running):
+                    if not self._resched_pending[cpu]:
+                        self._reserve_resched(cpu)
+                    return
             if not self._resched_pending[cpu]:
-                self._resched_pending[cpu] = True
-                sim._push(sim._now, PRIORITY_LATE, self._do_resched,
-                          (cpu,), "resched")
+                if self._reserved_at == sim._now:
+                    self._queue_resched(cpu)
+                else:
+                    self._resched_pending[cpu] = True
+                    sim._push(sim._now, PRIORITY_LATE, self._do_resched,
+                              (cpu,), "resched")
         else:
             # Task has not finished its previous job yet: overrun.  The
             # pending nominal makes the next WaitPeriod return at once.
@@ -751,17 +801,65 @@ class RTKernel:
     # -- ready/dispatch/preemption --------------------------------------
     def _make_ready(self, task):
         task.state = TaskState.READY
-        self._schedulers[task.cpu].add(task)
-        running = self._running[task.cpu]
-        if running is not None and running.priority == task.priority:
-            self._arm_quantum(running)
-        self._request_resched(task.cpu)
+        cpu = task.cpu
+        scheduler = self._schedulers[cpu]
+        scheduler.add(task)
+        running = self._running[cpu]
+        if running is not None:
+            if running.priority == task.priority:
+                self._arm_quantum(running)
+            if scheduler.cannot_preempt(task, running):
+                if not self._resched_pending[cpu]:
+                    self._reserve_resched(cpu)
+                return
+        self._request_resched(cpu)
 
     def _request_resched(self, cpu):
+        """Ask for a rescheduling pass on ``cpu`` at this instant: one
+        pending pass per CPU, queued only if its ready set holds a
+        task, else reserved (module docstring)."""
         if self._resched_pending[cpu]:
             return
-        self._resched_pending[cpu] = True
-        self.sim.call_soon(self._do_resched, cpu, label="resched")
+        if self._schedulers[cpu]:
+            self._queue_resched(cpu)
+        else:
+            self._reserve_resched(cpu)
+
+    def _reserve_resched(self, cpu):
+        """Hold the place of a pass on ``cpu`` that could dispatch
+        nothing yet, without queueing an event."""
+        now = self.sim._now
+        if self._reserved_at != now:
+            self._reserved_at = now
+            self._reserved = [cpu]
+        elif cpu not in self._reserved:
+            self._reserved.append(cpu)
+
+    def _queue_resched(self, cpu):
+        """Queue the pass on ``cpu`` behind the passes reserved before
+        this request."""
+        self._queue_reserved()
+        if not self._resched_pending[cpu]:
+            self._resched_pending[cpu] = True
+            sim = self.sim
+            sim._push(sim._now, PRIORITY_LATE, self._do_resched, (cpu,),
+                      "resched")
+
+    def _queue_reserved(self):
+        """Queue the passes reserved at this instant, in reservation
+        order; call before queueing any other late event.  Reservations
+        from an earlier instant lapse: those passes would have found
+        nothing to do."""
+        sim = self.sim
+        now = sim._now
+        if self._reserved_at != now:
+            return
+        self._reserved_at = None
+        for cpu in self._reserved:
+            if not self._resched_pending[cpu]:
+                self._resched_pending[cpu] = True
+                sim._push(now, PRIORITY_LATE, self._do_resched, (cpu,),
+                          "resched")
 
     def _do_resched(self, cpu):
         """Pick-and-dispatch for one CPU (the coalesced resched event).
@@ -1013,10 +1111,15 @@ class RTKernel:
         # (inline _request_resched)
         cpu = task.cpu
         if not self._resched_pending[cpu]:
-            self._resched_pending[cpu] = True
             sim = self.sim
-            sim._push(sim._now, PRIORITY_LATE, self._do_resched, (cpu,),
-                      "resched")
+            if not self._schedulers[cpu]:
+                self._reserve_resched(cpu)
+            elif self._reserved_at == sim._now:
+                self._queue_resched(cpu)
+            else:
+                self._resched_pending[cpu] = True
+                sim._push(sim._now, PRIORITY_LATE, self._do_resched,
+                          (cpu,), "resched")
         return None
 
     def _release_cpu_if_running(self, task):
@@ -1093,6 +1196,7 @@ class RTKernel:
         self._m_faults.inc()
         self._trace("task_fault", task=task.name, error=repr(error))
         if self.on_task_fault is not None:
+            self._queue_reserved()
             self.sim.call_soon(self.on_task_fault, task, error,
                                label="fault:%s" % task.name)
         self._request_resched(task.cpu)

@@ -20,12 +20,17 @@ observations are:
   from pure RTAI in both modes, because the RT side only *polls* its
   management mailbox (asynchronous command protocol, section 3.2).
 
-This module reproduces those distributions mechanically: the kernel asks
-:class:`LatencyModel` for a *timer fire offset* every time it arms a
-periodic release, conditioned on the Linux-domain load and on whether the
-task carries the hybrid management poll.  Deterministic dispatch costs
-(IRQ entry, scheduler pass, context switch) are added by the kernel
-itself and are accounted for in the calibration constants below.
+This module reproduces those distributions mechanically: every time the
+kernel arms a periodic release it draws a *timer fire offset* from the
+:class:`LatencyProfile` of the cell the task is in, conditioned on the
+Linux-domain load and on whether the task carries the hybrid management
+poll.  The load changes only when a generator is registered or removed,
+so the kernel asks :class:`LatencyModel` for its (plain, hybrid) profile
+pair then, and each task draws through :meth:`LatencyProfile.draw` from
+its own ``latency/<name>`` stream, looked up once.  Deterministic
+dispatch costs (IRQ entry, scheduler pass, context switch) are added by
+the kernel itself and are accounted for in the calibration constants
+below.
 """
 
 #: Deterministic cost charged by the kernel on the uncontended dispatch
@@ -70,10 +75,15 @@ class LatencyProfile:
 
     def sample(self, rng, stream):
         """Draw one offset (ns, may be negative) from named stream."""
-        if rng.random(stream) < self.tail_prob:
-            jitter = rng.uniform(stream, self.tail_lo_ns, self.tail_hi_ns)
+        return self.draw(rng.stream(stream))
+
+    def draw(self, stream):
+        """Draw one offset (ns, may be negative) from a
+        :class:`random.Random` stream."""
+        if stream.random() < self.tail_prob:
+            jitter = stream.uniform(self.tail_lo_ns, self.tail_hi_ns)
         else:
-            jitter = rng.gauss(stream, 0.0, self.sigma_ns)
+            jitter = stream.gauss(0.0, self.sigma_ns)
         value = self.base_ns + jitter
         if value < self.clamp_lo_ns:
             value = self.clamp_lo_ns
@@ -143,11 +153,11 @@ class LatencyModel:
         """Draw the timer fire offset for one periodic release.
 
         A dedicated stream per task keeps task latencies statistically
-        independent and runs reproducible.
+        independent and runs reproducible.  The kernel draws the same
+        values through a cached profile pair and stream.
         """
-        mode = self.mode_for(linux_demand)
-        profile = self.profile(mode, hybrid)
-        return profile.sample(rng, "latency/%s" % task_name)
+        profile = self.profile(self.mode_for(linux_demand), hybrid)
+        return profile.draw(rng.stream("latency/" + task_name))
 
 
 class NullLatencyModel(LatencyModel):

@@ -7,7 +7,8 @@ dual-kernel model Linux load can never delay an RT dispatch -- it only
 hardware wakeup-path conditions that the latency model keys on
 (:class:`repro.rtos.latency.LatencyModel`).
 
-Each generator declares a *demand* fraction; the kernel sums demands to
+Each generator declares a *demand* fraction, fixed for its lifetime; the
+kernel sums demands when a generator is registered or removed, to
 classify the system as light or stress and to account Linux throughput.
 """
 
@@ -21,8 +22,14 @@ class LoadGenerator:
         if not 0.0 <= demand <= 1.0:
             raise ValueError("demand must be in [0, 1], got %r" % (demand,))
         self.name = name
-        self.demand = demand
+        self._demand = demand
         self._kernel = None
+
+    @property
+    def demand(self):
+        """The Linux-side CPU demand in [0, 1], read-only: the kernel
+        reads it once, when the generator is registered or removed."""
+        return self._demand
 
     def attached(self, kernel):
         """Called by the kernel on :meth:`RTKernel.register_load`."""

@@ -71,6 +71,17 @@ class Scheduler:
         """Whether ``candidate`` should preempt ``running`` right now."""
         raise NotImplementedError
 
+    def cannot_preempt(self, candidate, running):
+        """Whether a newly ready ``candidate`` can wait for ``running``
+        without a rescheduling pass.
+
+        True only when no same-instant change short of one the kernel
+        already requests a pass for (``running`` leaving its CPU, a
+        priority change) could let it preempt.  The default answer,
+        False, makes the kernel queue a pass for every ready task.
+        """
+        return False
+
     def peers_ready(self, task):
         """Whether another ready task shares ``task``'s scheduling class
         (drives round-robin quantum arming)."""
@@ -143,6 +154,11 @@ class PriorityScheduler(Scheduler):
         # for the running task to block.
         return candidate.priority < running.priority
 
+    def cannot_preempt(self, candidate, running):
+        # Priorities change only through RTKernel.set_task_priority,
+        # which requests a pass itself.
+        return candidate.priority >= running.priority
+
     def peers_ready(self, task):
         queue = self._levels.get(task.priority)
         return bool(queue)
@@ -211,6 +227,10 @@ class EDFScheduler(Scheduler):
 
     def would_preempt(self, candidate, running):
         return self._key(candidate) < self._key(running)
+
+    # cannot_preempt keeps the base class's "no": a running task that
+    # takes an overrun's catch-up job moves its deadline key without a
+    # rescheduling request, so every ready task queues a pass.
 
 
 def make_scheduler(policy, rr_quantum_ns=None):

@@ -113,7 +113,7 @@ class RTTask:
         "_pending_kind", "_pending_value", "_needs_advance",
         "_deferred_wake", "_last_release_time", "_deferred_release_event",
         "_suspend_depth", "_resume_state", "_started", "_blocked_on",
-        "_tap",
+        "_tap", "_latency_stream",
         "_label_release", "_label_complete", "_label_quantum",
         "_label_timeout", "_label_sleep",
     )
@@ -175,6 +175,7 @@ class RTTask:
         self._started = False
         self._blocked_on = None         # IPC object currently blocked on
         self._tap = None                # sample tap (contract monitor)
+        self._latency_stream = None     # release jitter RNG, on 1st draw
 
         # Precomputed event labels (kernel hot path; see class docstring).
         self._label_release = "release:" + self.name

@@ -9,8 +9,10 @@ node's last push is re-homed, one undeployed after it stays gone, a
 wired application deployed after it moves whole (the coordinator
 records the grouping at deploy time), and a component an unfinished
 migration holds is left to that migration, even when the dead node's
-last push still carried it.  A migration's hand-off is one ``deploy``
-answered by one ``deploy_ack``; no ``undeploy_ack`` is sent.
+last push still carried it.  A ``deploy_ack`` re-homes only names the
+catalog still holds, so an undeploy that overtook its deploy's answer
+leaves no ghost.  A migration's hand-off is one ``deploy`` answered by
+one ``deploy_ack``; no ``undeploy_ack`` is sent.
 """
 
 import collections
@@ -163,6 +165,27 @@ def test_an_undeploy_after_the_last_push_stays_undeployed(cluster):
     assert report["moved"] == {} and report["unplaced"] == []
     assert "AAA000" not in cluster.deployments
     assert hosts(cluster, "AAA000") == []
+
+
+def test_an_undeploy_racing_its_deploy_leaves_no_ghost(cluster):
+    # The undeploy follows the deploy onto the wire, so node0 admits
+    # AAA000 and removes it again, and its deploy_ack still reports it
+    # placed: the home map must not take a name the catalog dropped.
+    cluster.run_for(5 * MSEC)
+    cluster.deploy(make_descriptor_xml("AAA000", cpuusage=0.2),
+                   node="node0")
+    cluster.undeploy("AAA000")
+    cluster.run_for(30 * MSEC)
+    assert cluster.deployments == {}
+    assert hosts(cluster, "AAA000") == []
+    cluster.crash_node("node0")
+    cluster.run_for(300 * MSEC)
+    assert cluster.failovers[-1]["moved"] == {}
+    assert cluster.deploy(make_descriptor_xml("AAA000", cpuusage=0.2),
+                          node="node1") == "node1"
+    cluster.run_for(10 * MSEC)
+    assert cluster.deployments == {"AAA000": "node1"}
+    assert hosts(cluster, "AAA000") == ["node1"]
 
 
 def test_an_application_deployed_after_the_last_push_moves_whole(

@@ -116,6 +116,62 @@ class TestLoadGenerators:
     def test_describe(self):
         assert "cpuhog" in CPUHogLoad().describe()
 
+    def test_demand_is_read_only(self):
+        # The kernel reads a load's demand once, at register/unregister.
+        load = CPUHogLoad(demand=0.4)
+        with pytest.raises(AttributeError):
+            load.demand = 0.9
+        assert load.demand == 0.4
+
+
+class TestReleaseOffsets:
+    """The kernel's cached profile pair and per-task stream draw what
+    ``LatencyModel.sample_release_offset`` draws for the load then in
+    force."""
+
+    STRESS_ON = 50 * MSEC
+    STRESS_OFF = 100 * MSEC
+
+    def test_offsets_follow_the_load_in_force(self):
+        sim = Simulator(seed=17)
+        model = LatencyModel()
+        kernel = RTKernel(sim, KernelConfig(latency_model=model))
+        kernel.start_timer(100 * USEC)
+        tasks = [kernel.create_task(name, periodic_body(100 * USEC), 1,
+                                    cpu=0, period_ns=1 * MSEC,
+                                    hybrid=hybrid)
+                 for name, hybrid in (("PLN000", False),
+                                      ("HRC000", True))]
+        for task in tasks:
+            kernel.start_task(task)
+        loads = []
+        sim.schedule_at(self.STRESS_ON,
+                        lambda: loads.extend(apply_stress(kernel)))
+        sim.schedule_at(self.STRESS_OFF,
+                        lambda: remove_loads(kernel, loads))
+        sim.run_for(150 * MSEC)
+
+        replay = RandomStreams(17)
+        irq_entry = kernel.config.irq_entry_ns
+        for task in tasks:
+            releases = [(record.time, record.nominal)
+                        for record in sim.trace.by_category("release")
+                        if record.task == task.name]
+            assert len(releases) >= 140
+            drawn_at = 0  # start_task draws the first release
+            modes = set()
+            for fired, nominal in releases:
+                # A release interrupt fires before a same-instant
+                # register/unregister event.
+                stressed = self.STRESS_ON < drawn_at <= self.STRESS_OFF
+                modes.add(stressed)
+                expected = model.sample_release_offset(
+                    replay, task.name, 1.0 if stressed else 0.0,
+                    task.hybrid)
+                assert fired - nominal - irq_entry == expected
+                drawn_at = fired
+            assert modes == {False, True}
+
 
 class TestDualKernelIsolation:
     """The headline property: Linux load cannot touch RT scheduling."""
