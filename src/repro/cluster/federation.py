@@ -120,18 +120,21 @@ class PlanGuard:
     deployment is vetoed only for findings at or above ``fail_on``
     that the baseline does not already carry -- pre-existing fleet
     debt never blocks unrelated work.  Unlike the resolver, findings
-    are fingerprinted by ``(code, component)`` without the message:
-    plan messages quote fleet-wide load numbers that legitimately
-    drift when anything deploys, and a drifted number is not a new
-    defect.
+    are fingerprinted by ``(code, component, location)`` without the
+    message: plan messages quote fleet-wide load numbers that
+    legitimately drift when anything deploys, and a drifted number is
+    not a new defect.  The location names the node
+    (``<plan-guard>#node1[0]``), so a CPU over-committed on one node
+    (DRT301 and DRT303 name no component) never hides a new one on
+    another; a finding keeps its location from baseline to candidate,
+    because the candidate's descriptors follow the node's own.
 
     One lint per deploy: the candidate runs the node-local checks
     (:mod:`repro.lint.deployment` lists them) for the target node only,
     since every other node's node-local findings are the baseline's
     own and can never be new; the fleet-wide checks see the whole
-    candidate.  The baseline is linted -- in full, because
-    fingerprints collide across nodes (DRT301 names no component) --
-    only when the candidate has a finding at or above ``fail_on``.
+    candidate.  The baseline is linted, in full, only when the
+    candidate has a finding at or above ``fail_on``.
     Failover re-homing is mandatory and is never blocked;
     :meth:`note_failover` runs an advisory full lint of the
     post-failover plan and records what it finds.
@@ -162,8 +165,8 @@ class PlanGuard:
                          families=self.families, nodes=nodes)
 
     @staticmethod
-    def _fingerprints(result):
-        return {(d.code, d.component) for d in result.diagnostics}
+    def _fingerprint(diagnostic):
+        return diagnostic.code, diagnostic.component, diagnostic.location
 
     def check_deploy(self, descriptor_xmls, node, application=None,
                      members=None):
@@ -201,9 +204,10 @@ class PlanGuard:
             self.fail_on)
         if not blocking:
             return []
-        known = self._fingerprints(self._lint(plan))
+        known = {self._fingerprint(diagnostic)
+                 for diagnostic in self._lint(plan).diagnostics}
         new = [diagnostic for diagnostic in blocking
-               if (diagnostic.code, diagnostic.component) not in known]
+               if self._fingerprint(diagnostic) not in known]
         if new:
             self._m_rejections.inc()
             for diagnostic in new:

@@ -24,13 +24,10 @@ Example::
     </drt:application>
 """
 
-import re
-import xml.etree.ElementTree as ET
-
-from repro.core.descriptor import ComponentDescriptor, _local
+from repro.core.descriptor import (DRT_NAMESPACE, ComponentDescriptor,
+                                   local_tag, parse_descriptor_tree,
+                                   xml_escape)
 from repro.core.errors import DescriptorError
-
-_UNBOUND_PREFIX = re.compile(r"(</?)drt:")
 
 
 class ApplicationDescriptor:
@@ -100,8 +97,8 @@ class ApplicationDescriptor:
     @classmethod
     def from_xml(cls, text):
         """Parse an ``<drt:application>`` document."""
-        root = _parse_root(text)
-        if _local(root.tag) != "application":
+        root = parse_descriptor_tree(text, "application")
+        if local_tag(root.tag) != "application":
             raise DescriptorError(
                 "root element must be drt:application, got %r"
                 % root.tag)
@@ -112,10 +109,10 @@ class ApplicationDescriptor:
             .strip().lower() == "true"
         components = []
         for child in root:
-            if _local(child.tag) != "component":
+            if local_tag(child.tag) != "component":
                 raise DescriptorError(
                     "application %r: unexpected element <%s>"
-                    % (name, _local(child.tag)))
+                    % (name, local_tag(child.tag)))
             components.append(ComponentDescriptor.from_element(child))
         return cls(name, components,
                    description=root.attrib.get("desc", ""),
@@ -125,9 +122,10 @@ class ApplicationDescriptor:
         """Serialise back to application XML."""
         lines = ['<?xml version="1.0" encoding="UTF-8"?>']
         lines.append(
-            '<drt:application xmlns:drt="http://pats.ua.ac.be/xmlns/'
-            'drt/v1.0.0" name="%s" desc="%s" complete="%s">'
-            % (self.name, self.description,
+            '<drt:application xmlns:drt="%s" name="%s" desc="%s" '
+            'complete="%s">'
+            % (DRT_NAMESPACE, xml_escape(self.name),
+               xml_escape(self.description),
                "true" if self.complete else "false"))
         for descriptor in self.components:
             body = descriptor.to_xml().split("\n", 1)[1]  # drop <?xml?>
@@ -139,15 +137,3 @@ class ApplicationDescriptor:
         return "ApplicationDescriptor(%s, %d components)" % (
             self.name, len(self.components))
 
-
-def _parse_root(text):
-    text = text.strip().replace("<? xml", "<?xml", 1)
-    try:
-        return ET.fromstring(text)
-    except ET.ParseError:
-        stripped = _UNBOUND_PREFIX.sub(r"\1", text)
-        try:
-            return ET.fromstring(stripped)
-        except ET.ParseError as error:
-            raise DescriptorError(
-                "application XML does not parse: %s" % error) from None

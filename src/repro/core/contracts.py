@@ -14,6 +14,7 @@ The runtime :mod:`repro.monitor` checks these declarations online.
 """
 
 import math
+import sys
 
 from repro.core.errors import ContractError
 from repro.rtos.task import TaskType
@@ -73,6 +74,11 @@ class DistributionSpec:
                     "normal distribution needs mean_ns > 0 and "
                     "std_ns > 0, got mean_ns=%r std_ns=%r"
                     % (mean_ns, std_ns))
+        for key, value in self.as_dict().items():
+            if key != "family" and not math.isfinite(value):
+                raise ContractError(
+                    "%s distribution needs finite parameters, got %s=%r"
+                    % (family, key, value))
 
     @property
     def mean(self):
@@ -240,12 +246,22 @@ class RealTimeContract:
                     "periodic contract %s needs a positive frequency"
                     % name)
             self.frequency_hz = float(frequency_hz)
-            self.period_ns = int(round(_NS_PER_SEC / self.frequency_hz))
+            period = _NS_PER_SEC / self.frequency_hz
+            if not (math.isfinite(period) and round(period) >= 1):
+                raise ContractError(
+                    "periodic contract %s: frequency %r Hz has no finite "
+                    "period of at least 1 ns" % (name, frequency_hz))
+            self.period_ns = int(round(period))
         elif task_type is TaskType.SPORADIC:
             if not min_interarrival_ns or min_interarrival_ns <= 0:
                 raise ContractError(
                     "sporadic contract %s needs a positive minimum "
                     "inter-arrival time" % name)
+            if not 1 <= min_interarrival_ns <= sys.float_info.max:
+                raise ContractError(
+                    "sporadic contract %s needs a minimum inter-arrival "
+                    "time of at least 1 ns that a float can hold, got %r"
+                    % (name, min_interarrival_ns))
             # The MIA plays the period's role: it bounds the demand and
             # feeds the same schedulability analyses.
             self.period_ns = int(min_interarrival_ns)

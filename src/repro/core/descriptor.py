@@ -15,12 +15,17 @@ properties.  The reference sample (Figure 2)::
       <property name="prox00" type="Integer" value="6"/>
     </drt:component>
 
-Parsing is tolerant of the paper's spelling quirks (``frequence`` /
-``frequency``, ``runoncup`` / ``runoncpu``) and of the bare ``drt:``
-prefix appearing without an ``xmlns:drt`` declaration, as in the paper's
-own listing.
+One table, :data:`SCHEMA`, holds the vocabulary; the parser, the
+renderer and drtlint's schema checks (DRT104/DRT107) all read it.
+Every value goes through one checked conversion, so a malformed
+descriptor raises a :class:`~repro.core.errors.DRComError`, never
+anything else.  Parsing tolerates the paper's quirks: ``frequence`` and
+``runoncup``, the stray space in ``<? xml`` and the ``drt:`` prefix
+without an ``xmlns:drt`` declaration.
 """
 
+import collections
+import operator
 import re
 import xml.etree.ElementTree as ET
 
@@ -36,6 +41,150 @@ from repro.rtos.task import TaskType
 DRT_NAMESPACE = "http://pats.ua.ac.be/xmlns/drt/v1.0.0"
 
 _UNBOUND_PREFIX = re.compile(r"(</?)drt:")
+
+
+# ----------------------------------------------------------------------
+# the vocabulary
+# ----------------------------------------------------------------------
+class Attribute(collections.namedtuple(
+        "Attribute",
+        ("name", "field", "convert", "render", "default", "spellings"))):
+    """``name`` is the spelling the renderer writes and errors quote,
+    ``spellings`` those the parser accepts, in priority order, and
+    ``field`` the keyword the value feeds.  ``convert`` turns text into
+    the value (``ValueError``/``TypeError`` for bad text), ``render``
+    the value into text.  ``default`` is an absent attribute's value,
+    ``_REQUIRED``, or ``_OMITTED`` (sets no field)."""
+
+    __slots__ = ()
+
+
+_REQUIRED, _OMITTED = object(), object()
+
+
+def xml_escape(text):
+    """``text`` escaped for an XML attribute value."""
+    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
+
+
+_TASK_TYPES = {member.value: member for member in TaskType}
+
+
+def _parse_task_type(text):
+    if text in _TASK_TYPES:
+        return _TASK_TYPES[text]
+    raise DescriptorError(
+        "component type must be periodic or aperiodic, got %r" % (text,))
+
+
+# (convert, render) pairs.
+_TEXT = (str, xml_escape)
+_INT = (int, "%d".__mod__)
+_FLOAT = (float, repr)
+_FLAG = (lambda text: text.strip().lower() != "false",
+         ("false", "true").__getitem__)
+_TASK_TYPE = (_parse_task_type, operator.attrgetter("value"))
+
+
+def _attribute(name, field, kind=_TEXT, default=None, spellings=None):
+    return Attribute(name, field, kind[0], kind[1], default,
+                     spellings or (name,))
+
+
+#: The periodic task's rate (drtlint's DRT104 flags it elsewhere).
+FREQUENCY = _attribute("frequence", "frequency_hz", _FLOAT, _REQUIRED,
+                       ("frequence", "frequency"))
+_CPU = _attribute("runoncpu", "cpu", _INT, 0, ("runoncup", "runoncpu"))
+_PRIORITY = _attribute("priority", "priority", _INT, 0)
+_DEADLINE = _attribute("deadline_ns", "deadline_ns", _INT, _OMITTED)
+_PORT = (
+    _attribute("name", "name", default=""),
+    _attribute("interface", "interface", default=""),
+    _attribute("type", "data_type", default=""),
+    _attribute("size", "size", _INT, 0),
+)
+_DISTRIBUTION = (_attribute("dist", "family"),) + tuple(
+    _attribute(key, key, _FLOAT)
+    for key in ("mean_ns", "min_ns", "max_ns", "std_ns"))
+
+#: Element (local tag) -> its attributes, in parse and render order.
+SCHEMA = {
+    "component": (
+        _attribute("name", "name"),
+        _attribute("desc", "description", default=""),
+        _attribute("type", "task_type", _TASK_TYPE, TaskType.PERIODIC),
+        _attribute("enabled", "enabled", _FLAG, True),
+        _attribute("cpuusage", "cpu_usage", _FLOAT, 0.0),
+    ),
+    "implementation": (_attribute("bincode", "implementation"),),
+    "periodictask": (FREQUENCY, _CPU, _PRIORITY, _DEADLINE),
+    "aperiodictask": (_CPU, _PRIORITY, _DEADLINE),
+    "sporadictask": (
+        _attribute("mininterarrival_ns", "min_interarrival_ns", _INT,
+                   _REQUIRED,
+                   ("mininterarrival_ns", "min_interarrival_ns")),
+        _CPU, _PRIORITY, _DEADLINE),
+    "inport": _PORT,
+    "outport": _PORT,
+    "property": (
+        _attribute("name", "name", default=""),
+        _attribute("type", "type_name", default="String"),
+        _attribute("value", "raw_value", default=""),
+    ),
+    "stochastic": (_attribute("tolerance", "tolerance", _FLOAT, 0.01),
+                   _attribute("min_samples", "min_samples", _INT, 32)),
+    "interarrival": _DISTRIBUTION,
+    "exectime": _DISTRIBUTION,
+}
+
+#: The element each task type declares its rate and placement in.
+TASK_ELEMENTS = {
+    TaskType.PERIODIC: "periodictask",
+    TaskType.APERIODIC: "aperiodictask",
+    TaskType.SPORADIC: "sporadictask",
+}
+
+
+def _value(attrib, attribute):
+    """One attribute's value: the first accepted spelling present,
+    through the one checked conversion, else the default."""
+    for spelling in attribute.spellings:
+        text = attrib.get(spelling)
+        if text is not None:
+            try:
+                return attribute.convert(text)
+            except (TypeError, ValueError):
+                raise DescriptorError("cannot parse %s=%r"
+                                      % (attribute.name, text)) from None
+    if attribute.default is _REQUIRED:
+        raise DescriptorError("missing attribute (one of %s)"
+                              % ", ".join(attribute.spellings))
+    return attribute.default
+
+
+def _read_attributes(element, tag):
+    """``{field: value}`` of the attributes of ``element``, a ``tag``
+    element of :data:`SCHEMA`."""
+    attrib = element.attrib
+    values = {}
+    for attribute in SCHEMA[tag]:
+        value = _value(attrib, attribute)
+        if value is not _OMITTED:
+            values[attribute.field] = value
+    return values
+
+
+def _render_attributes(tag, values):
+    """`` name="text"`` for each attribute of ``tag`` whose field has a
+    value other than None in ``values``, in table order."""
+    rendered = ""
+    for attribute in SCHEMA[tag]:
+        value = values.get(attribute.field)
+        if value is not None:
+            rendered += ' %s="%s"' % (attribute.name,
+                                      attribute.render(value))
+    return rendered
 
 
 class ComponentProperty:
@@ -82,6 +231,9 @@ class ComponentDescriptor:
                  stochastic=None):
         if not name:
             raise DescriptorError("component name is required")
+        if "$" in name:  # kernel plumbing names (RTKernel.unique_name)
+            raise DescriptorError(
+                "component names may not contain '$': %r" % (name,))
         self.name = name
         #: The six-character RTAI task name for this component.  "The
         #: name of a component must be globally unique because it is
@@ -154,89 +306,41 @@ class ComponentDescriptor:
     @classmethod
     def from_xml(cls, text):
         """Parse a descriptor document."""
-        return cls.from_element(_parse_root(text))
+        return cls.from_element(parse_descriptor_tree(text))
 
     @classmethod
     def from_element(cls, root):
         """Build a descriptor from a root element already parsed by
         :func:`parse_descriptor_tree` (lint reads the raw tree and the
         descriptor from one parse)."""
-        if _local(root.tag) != "component":
+        if local_tag(root.tag) != "component":
             raise DescriptorError(
                 "root element must be drt:component, got %r" % root.tag)
-        attrs = root.attrib
-        name = attrs.get("name")
+        fields = _read_attributes(root, "component")
+        fields["implementation"] = None
+        name = fields["name"]
         if not name:
             raise DescriptorError("component element needs a name")
-        task_type = _parse_task_type(attrs.get("type", "periodic"))
-        enabled = attrs.get("enabled", "true").strip().lower() != "false"
-        cpu_usage = _parse_float(attrs.get("cpuusage", "0"), "cpuusage")
-
-        implementation = None
-        frequency_hz = None
-        min_interarrival_ns = None
-        priority = 0
-        cpu = 0
-        deadline_ns = None
+        task_type = fields["task_type"]
+        task_tag = TASK_ELEMENTS[task_type]
         ports = []
         properties = []
         stochastic = None
         for child in root:
-            tag = _local(child.tag)
-            if tag == "implementation":
-                implementation = child.attrib.get("bincode")
-            elif tag == "periodictask":
-                if task_type is not TaskType.PERIODIC:
-                    raise DescriptorError(
-                        "component %r: periodictask element but type=%s"
-                        % (name, task_type.value))
-                frequency_hz = _parse_float(
-                    _first(child.attrib, "frequence", "frequency"),
-                    "frequence")
-                cpu = int(_first(child.attrib, "runoncup", "runoncpu",
-                                 default="0"))
-                priority = int(child.attrib.get("priority", "0"))
-                if "deadline_ns" in child.attrib:
-                    deadline_ns = int(child.attrib["deadline_ns"])
-            elif tag == "aperiodictask":
-                if task_type is not TaskType.APERIODIC:
-                    raise DescriptorError(
-                        "component %r: aperiodictask element but type=%s"
-                        % (name, task_type.value))
-                cpu = int(_first(child.attrib, "runoncup", "runoncpu",
-                                 default="0"))
-                priority = int(child.attrib.get("priority", "0"))
-                if "deadline_ns" in child.attrib:
-                    deadline_ns = int(child.attrib["deadline_ns"])
-            elif tag == "sporadictask":
-                if task_type is not TaskType.SPORADIC:
-                    raise DescriptorError(
-                        "component %r: sporadictask element but type=%s"
-                        % (name, task_type.value))
-                min_interarrival_ns = int(_first(
-                    child.attrib, "mininterarrival_ns",
-                    "min_interarrival_ns"))
-                cpu = int(_first(child.attrib, "runoncup", "runoncpu",
-                                 default="0"))
-                priority = int(child.attrib.get("priority", "0"))
-                if "deadline_ns" in child.attrib:
-                    deadline_ns = int(child.attrib["deadline_ns"])
+            tag = local_tag(child.tag)
+            if tag == "implementation" or tag == task_tag:
+                fields.update(_read_attributes(child, tag))
+            elif tag in TASK_ELEMENTS.values():
+                raise DescriptorError(
+                    "component %r: %s element but type=%s"
+                    % (name, tag, task_type.value))
             elif tag in ("inport", "outport"):
-                direction = (PortDirection.IN if tag == "inport"
-                             else PortDirection.OUT)
                 ports.append(PortSpec(
-                    child.attrib.get("name", ""),
-                    direction,
-                    child.attrib.get("interface", ""),
-                    child.attrib.get("type", ""),
-                    child.attrib.get("size", "0").strip(),
-                ))
+                    direction=PortDirection.IN if tag == "inport"
+                    else PortDirection.OUT, **_read_attributes(child, tag)))
             elif tag == "property":
-                properties.append(ComponentProperty(
-                    child.attrib.get("name", ""),
-                    child.attrib.get("type", "String"),
-                    child.attrib.get("value", ""),
-                ))
+                properties.append(
+                    ComponentProperty(**_read_attributes(child, tag)))
             elif tag == "stochastic":
                 if stochastic is not None:
                     raise DescriptorError(
@@ -246,31 +350,13 @@ class ComponentDescriptor:
             else:
                 raise DescriptorError(
                     "component %r: unknown element <%s>" % (name, tag))
-        if task_type is TaskType.PERIODIC and frequency_hz is None:
-            raise DescriptorError(
-                "periodic component %r needs a periodictask element"
-                % name)
-        if task_type is TaskType.SPORADIC \
-                and min_interarrival_ns is None:
-            raise DescriptorError(
-                "sporadic component %r needs a sporadictask element"
-                % name)
-        return cls(
-            name=name,
-            implementation=implementation,
-            task_type=task_type,
-            description=attrs.get("desc", ""),
-            enabled=enabled,
-            cpu_usage=cpu_usage,
-            frequency_hz=frequency_hz,
-            priority=priority,
-            cpu=cpu,
-            deadline_ns=deadline_ns,
-            min_interarrival_ns=min_interarrival_ns,
-            ports=ports,
-            properties=properties,
-            stochastic=stochastic,
-        )
+        if any(attribute.default is _REQUIRED
+               and attribute.field not in fields
+               for attribute in SCHEMA[task_tag]):
+            raise DescriptorError("%s component %r needs a %s element"
+                                  % (task_type.value, name, task_tag))
+        return cls(ports=ports, properties=properties,
+                   stochastic=stochastic, **fields)
 
     def to_xml(self):
         """Serialise back to descriptor XML (round-trips from_xml).
@@ -291,65 +377,45 @@ class ComponentDescriptor:
     def render_xml(self):
         """Render the descriptor XML afresh (what :meth:`to_xml`
         stores)."""
-        lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-        lines.append(
-            '<drt:component xmlns:drt="%s" name="%s" desc="%s" type="%s" '
-            'enabled="%s" cpuusage="%s">' % (
-                DRT_NAMESPACE, _xml_escape(self.name),
-                _xml_escape(self.description),
-                self.contract.task_type.value,
-                "true" if self.enabled else "false",
-                repr(self.contract.cpu_usage)))
-        lines.append('  <implementation bincode="%s"/>'
-                     % _xml_escape(self.implementation))
-        if self.contract.is_periodic:
-            deadline = ""
-            if self.contract.deadline_ns != self.contract.period_ns:
-                deadline = ' deadline_ns="%d"' % self.contract.deadline_ns
-            lines.append(
-                '  <periodictask frequence="%s" runoncpu="%d" '
-                'priority="%d"%s/>' % (repr(self.contract.frequency_hz),
-                                       self.contract.cpu,
-                                       self.contract.priority, deadline))
-        elif self.contract.task_type is TaskType.SPORADIC:
-            deadline = ""
-            if self.contract.deadline_ns != self.contract.period_ns:
-                deadline = ' deadline_ns="%d"' % self.contract.deadline_ns
-            lines.append(
-                '  <sporadictask mininterarrival_ns="%d" runoncpu="%d" '
-                'priority="%d"%s/>' % (self.contract.period_ns,
-                                       self.contract.cpu,
-                                       self.contract.priority, deadline))
-        else:
-            deadline = ""
-            if self.contract.deadline_ns is not None:
-                deadline = ' deadline_ns="%d"' % self.contract.deadline_ns
-            lines.append(
-                '  <aperiodictask runoncpu="%d" priority="%d"%s/>'
-                % (self.contract.cpu, self.contract.priority, deadline))
-        stochastic = self.contract.stochastic
+        contract = self.contract
+        deadline_ns = contract.deadline_ns
+        task_tag = TASK_ELEMENTS[contract.task_type]
+        lines = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<drt:component xmlns:drt="%s"%s>' % (
+                DRT_NAMESPACE, _render_attributes("component", {
+                    "name": self.name, "description": self.description,
+                    "task_type": contract.task_type,
+                    "enabled": self.enabled,
+                    "cpu_usage": contract.cpu_usage})),
+            '  <implementation%s/>' % _render_attributes(
+                "implementation", {"implementation": self.implementation}),
+            '  <%s%s/>' % (task_tag, _render_attributes(task_tag, {
+                "frequency_hz": contract.frequency_hz,
+                "min_interarrival_ns": contract.period_ns,
+                "cpu": contract.cpu, "priority": contract.priority,
+                # A deadline equal to the period is the default.
+                "deadline_ns": None if deadline_ns == contract.period_ns
+                else deadline_ns})),
+        ]
+        stochastic = contract.stochastic
         if stochastic is not None:
-            lines.append(
-                '  <stochastic tolerance="%s" min_samples="%d">'
-                % (repr(stochastic.tolerance), stochastic.min_samples))
+            lines.append('  <stochastic%s>' % _render_attributes(
+                "stochastic", {"tolerance": stochastic.tolerance,
+                               "min_samples": stochastic.min_samples}))
             for clause, spec in stochastic.clauses():
-                params = "".join(
-                    ' %s="%s"' % (key, repr(spec.as_dict()[key]))
-                    for key in _DIST_PARAM_KEYS
-                    if key in spec.as_dict())
-                lines.append('    <%s dist="%s"%s/>'
-                             % (clause, spec.family, params))
+                lines.append('    <%s%s/>' % (
+                    clause, _render_attributes(clause, spec.as_dict())))
             lines.append('  </stochastic>')
         for port in self.ports:
-            lines.append(
-                '  <%s name="%s" interface="%s" type="%s" size="%d"/>'
-                % (port.direction.value, port.name, port.interface.value,
-                   port.data_type, port.size))
+            tag = port.direction.value
+            lines.append('  <%s%s/>' % (tag, _render_attributes(tag, {
+                "name": port.name, "interface": port.interface.value,
+                "data_type": port.data_type, "size": port.size})))
         for prop in self.properties.values():
-            lines.append(
-                '  <property name="%s" type="%s" value="%s"/>'
-                % (_xml_escape(prop.name), prop.type_name,
-                   _xml_escape(str(prop.value))))
+            lines.append('  <property%s/>' % _render_attributes(
+                "property", {"name": prop.name, "type_name": prop.type_name,
+                             "raw_value": prop.value}))
         lines.append("</drt:component>")
         return "\n".join(lines)
 
@@ -361,38 +427,37 @@ class ComponentDescriptor:
 # ----------------------------------------------------------------------
 # parsing helpers
 # ----------------------------------------------------------------------
-def parse_descriptor_tree(text):
+def parse_descriptor_tree(text, document="descriptor"):
     """Parse descriptor XML to an ElementTree root, tolerating the
     paper's quirks (stray ``<? xml`` space, undeclared ``drt:``
-    prefix) exactly like :meth:`ComponentDescriptor.from_xml`.
+    prefix).
 
-    Raw-tree access is what the static verifier
-    (:mod:`repro.lint`) uses for schema checks the tolerant parser
-    cannot express -- e.g. attributes it would silently ignore.
+    The component and application parsers start here, and so does the
+    static verifier (:mod:`repro.lint`), whose schema checks read the
+    raw tree for what the tolerant parser cannot express -- e.g.
+    attributes it would silently ignore.  ``document`` names the
+    document in the parse error.
     """
-    return _parse_root(text)
+    text = text.strip().replace("<? xml", "<?xml", 1)
+    try:
+        return ET.fromstring(text)
+    except (ET.ParseError, ValueError):  # ValueError: unencodable text
+        try:
+            return ET.fromstring(_UNBOUND_PREFIX.sub(r"\1", text))
+        except (ET.ParseError, ValueError) as error:
+            raise DescriptorError("%s XML does not parse: %s"
+                                  % (document, error)) from None
 
 
 def local_tag(tag):
-    """Public alias of the namespace-stripping helper (lint uses it to
-    compare element names independent of the ``drt:`` prefix)."""
-    return _local(tag)
-
-
-def _parse_root(text):
-    text = text.strip()
-    # The paper's own listing starts "<? xml ...?>" (stray space) and
-    # uses the drt: prefix without declaring it; tolerate both.
-    text = text.replace("<? xml", "<?xml", 1)
-    try:
-        return ET.fromstring(text)
-    except ET.ParseError:
-        stripped = _UNBOUND_PREFIX.sub(r"\1", text)
-        try:
-            return ET.fromstring(stripped)
-        except ET.ParseError as error:
-            raise DescriptorError("descriptor XML does not parse: %s"
-                                  % error) from None
+    """Strip ``{namespace}`` and ``prefix:`` from a tag or attribute
+    name (element names compare independent of the ``drt:``
+    prefix)."""
+    if "}" in tag:
+        tag = tag.rsplit("}", 1)[1]
+    if ":" in tag:
+        tag = tag.rsplit(":", 1)[1]
+    return tag
 
 
 def _task_name_for(name):
@@ -402,23 +467,11 @@ def _task_name_for(name):
         return rtai_names.derive_port_name(name, name)
 
 
-def _local(tag):
-    """Strip ``{namespace}`` and ``prefix:`` from a tag name."""
-    if "}" in tag:
-        tag = tag.rsplit("}", 1)[1]
-    if ":" in tag:
-        tag = tag.rsplit(":", 1)[1]
-    return tag
-
-
-_DIST_PARAM_KEYS = ("mean_ns", "min_ns", "max_ns", "std_ns")
-
-
 def _parse_stochastic(component, element):
     """Parse a ``<stochastic>`` element into a StochasticContract."""
     clauses = {}
     for child in element:
-        tag = _local(child.tag)
+        tag = local_tag(child.tag)
         if tag not in ("interarrival", "exectime"):
             raise DescriptorError(
                 "component %r: unknown stochastic clause <%s>"
@@ -427,63 +480,24 @@ def _parse_stochastic(component, element):
             raise DescriptorError(
                 "component %r declares a duplicate <%s> clause"
                 % (component, tag))
-        attrs = child.attrib
-        family = attrs.get("dist")
-        params = {}
-        for key in _DIST_PARAM_KEYS:
-            if key in attrs:
-                params[key] = _parse_float(attrs[key], key)
+        params = _read_attributes(child, tag)
         try:
-            clauses[tag] = DistributionSpec(family, **params)
+            clauses[tag] = DistributionSpec(**params)
         except ContractError as error:
             raise DescriptorError(
                 "component %r: bad <%s> clause: %s"
                 % (component, tag, error)) from None
-    tolerance = _parse_float(element.attrib.get("tolerance", "0.01"),
-                             "tolerance")
+    tolerance, min_samples = SCHEMA["stochastic"]
+    options = {tolerance.field: _value(element.attrib, tolerance)}
     try:
-        min_samples = int(element.attrib.get("min_samples", "32"))
-    except ValueError:
-        raise DescriptorError(
-            "component %r: cannot parse min_samples=%r"
-            % (component, element.attrib.get("min_samples"))) from None
+        options[min_samples.field] = _value(element.attrib, min_samples)
+    except DescriptorError as error:
+        # A malformed sample floor names its component.
+        raise DescriptorError("component %r: %s"
+                              % (component, error)) from None
     try:
-        return StochasticContract(
-            interarrival=clauses.get("interarrival"),
-            exectime=clauses.get("exectime"),
-            tolerance=tolerance, min_samples=min_samples)
+        return StochasticContract(**clauses, **options)
     except ContractError as error:
         raise DescriptorError(
             "component %r: bad stochastic clause: %s"
             % (component, error)) from None
-
-
-def _parse_task_type(text):
-    for member in TaskType:
-        if member.value == text:
-            return member
-    raise DescriptorError(
-        "component type must be periodic or aperiodic, got %r" % (text,))
-
-
-def _parse_float(text, what):
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise DescriptorError("cannot parse %s=%r" % (what, text)) \
-            from None
-
-
-def _first(attrib, *keys, default=None):
-    for key in keys:
-        if key in attrib:
-            return attrib[key]
-    if default is not None:
-        return default
-    raise DescriptorError("missing attribute (one of %s)"
-                          % ", ".join(keys))
-
-
-def _xml_escape(text):
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))

@@ -41,7 +41,7 @@ from contextlib import contextmanager
 
 from repro.core.component import DRComComponent, LifecycleToken
 from repro.core.descriptor import ComponentDescriptor
-from repro.core.errors import DescriptorError, LifecycleError
+from repro.core.errors import DescriptorError, DRComError, LifecycleError
 from repro.core.events import ComponentEventLog, ComponentEventType
 from repro.core.lifecycle import ComponentState, state_metric_name
 from repro.core.management import (
@@ -122,18 +122,16 @@ class DRCR:
         #: tests can assert coalescing without telemetry enabled).
         self.reconfigurations = 0
         # Dirty-set bookkeeping: names touched by events that arrive
-        # while a round is running fold into the running fixpoint.
+        # while a round is running, or while a batch() is open, fold
+        # into the pending pair the next pass reads.
         self._pending_dirty = set()
         self._pending_full = False
         # Components whose activation *attempt* crashed (as opposed to
         # being vetoed).  A full sweep retried them on any later event;
         # incremental rounds merge them into the first pass to match.
         self._retry_failed = set()
-        # Batch bookkeeping: while a batch() is open, events accumulate
-        # here instead of triggering a round each.
+        # Open batch() contexts: the outermost exit runs the round.
         self._batch_depth = 0
-        self._batch_dirty = set()
-        self._batch_full = False
         self._attached = False
         self._registration = None
         self._applications = {}
@@ -209,8 +207,6 @@ class DRCR:
         # Everything is disposed; pending dirt refers to nothing now.
         self._pending_dirty = set()
         self._pending_full = False
-        self._batch_dirty = set()
-        self._batch_full = False
 
     def _on_bundle_event(self, event):
         if event.event_type is BundleEventType.STARTED:
@@ -313,10 +309,12 @@ class DRCR:
                                                       path)
                 try:
                     descriptor = ComponentDescriptor.from_xml(xml_text)
-                except DescriptorError as error:
-                    # A corrupt descriptor must not take down the rest
-                    # of the bundle (or the platform): count it, trace
-                    # it, keep deploying the healthy components.
+                except DRComError as error:
+                    # A malformed descriptor (unparseable, or failing
+                    # its contract or port checks) must not take down
+                    # the rest of the bundle (or the platform): count
+                    # it, trace it, keep deploying the healthy
+                    # components.
                     self._m_descriptor_errors.inc()
                     self.kernel.sim.trace.record(
                         self.kernel.now, "descriptor_error",
@@ -555,14 +553,7 @@ class DRCR:
         finally:
             self._batch_depth -= 1
             if self._batch_depth == 0:
-                full = self._batch_full
-                dirty = self._batch_dirty
-                self._batch_full = False
-                self._batch_dirty = set()
-                if full:
-                    self._reconfigure()
-                else:
-                    self._reconfigure(dirty=dirty)
+                self._reconfigure(dirty=())
 
     # ------------------------------------------------------------------
     # queries
@@ -602,26 +593,17 @@ class DRCR:
             full = dirty is None
         if not self.incremental:
             full = True
-        if self._reconfiguring:
-            # Event raised mid-pass: fold into the running fixpoint.
-            if full:
-                self._pending_full = True
-            elif dirty:
-                self._pending_dirty.update(dirty)
-            return
-        if self._batch_depth:
-            if full:
-                self._batch_full = True
-            elif dirty:
-                self._batch_dirty.update(dirty)
-            return
-        self._reconfiguring = True
-        self.reconfigurations += 1
-        self._m_reconfigurations.inc()
         if full:
             self._pending_full = True
         elif dirty:
             self._pending_dirty.update(dirty)
+        if self._reconfiguring or self._batch_depth:
+            # Event raised mid-pass or inside a batch: the running
+            # fixpoint, or the round the batch's exit runs, takes it.
+            return
+        self._reconfiguring = True
+        self.reconfigurations += 1
+        self._m_reconfigurations.inc()
         if self._retry_failed:
             self._pending_dirty.update(self._retry_failed)
             self._retry_failed.clear()
@@ -708,7 +690,7 @@ class DRCR:
                 changed = True
         return changed
 
-    def _mark_departure_dirty(self, component):
+    def _mark_departure_dirty(self):
         """Seed the dirty set with everything a departure can affect:
         waiting consumers of the departed provider (their status
         refreshes) and every waiting component (the freed budget may
@@ -929,7 +911,7 @@ class DRCR:
         # Seed the next incremental pass: the departed component (if it
         # is re-resolvable) is now in the unsatisfied population the
         # marker dirties.
-        self._mark_departure_dirty(component)
+        self._mark_departure_dirty()
 
     def _force_teardown(self, component):
         """Last-resort reclamation after ``container.deactivate``

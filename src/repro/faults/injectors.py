@@ -239,7 +239,8 @@ class DescriptorCorruptInjector(Injector):
     """``descriptor_corrupt``: mangle the next ``count`` matching
     descriptor XMLs before the DRCR parses them.  The hardened
     ``_deploy_bundle`` contains the damage to the corrupt component and
-    keeps deploying the rest of the bundle."""
+    keeps deploying the rest of the bundle, as it does for every
+    malformed descriptor (any ``DRComError`` the parse raises)."""
 
     hook = "descriptor"
 

@@ -5,10 +5,14 @@ schema violations the tolerant parser glosses over, RTAI name
 collisions and truncations, priorities outside the scheduler range and
 degenerate CPU claims.  Everything here runs on descriptor *text* and
 :class:`~repro.core.descriptor.ComponentDescriptor` objects -- no
-Framework, no DRCR, no kernel.
+Framework, no DRCR, no kernel.  The schema checks (DRT104/DRT107) read
+the parser's own vocabulary table,
+:data:`repro.core.descriptor.SCHEMA`, so they cannot drift from what
+the parser accepts.
 """
 
-from repro.core.descriptor import local_tag
+from repro.core.descriptor import FREQUENCY, SCHEMA, TASK_ELEMENTS, \
+    local_tag
 from repro.lint.diagnostics import Diagnostic
 from repro.rtos import names as rtai_names
 from repro.rtos.errors import InvalidTaskNameError
@@ -18,26 +22,14 @@ from repro.rtos.errors import InvalidTaskNameError
 #: smaller number = higher priority.
 MAX_SCHEDULER_PRIORITY = 0x3FFFFFFF
 
-#: Attributes each descriptor element may carry; anything else is
+#: Every spelling each descriptor element accepts; anything else is
 #: silently dropped by the tolerant parser -- exactly the "schema
 #: violation beyond parse errors" DRT107 exists for.
-_KNOWN_ATTRIBUTES = {
-    "component": {"name", "desc", "type", "enabled", "cpuusage"},
-    "implementation": {"bincode"},
-    "periodictask": {"frequence", "frequency", "runoncup", "runoncpu",
-                     "priority", "deadline_ns"},
-    "aperiodictask": {"runoncup", "runoncpu", "priority", "deadline_ns"},
-    "sporadictask": {"mininterarrival_ns", "min_interarrival_ns",
-                     "runoncup", "runoncpu", "priority", "deadline_ns"},
-    "inport": {"name", "interface", "type", "size"},
-    "outport": {"name", "interface", "type", "size"},
-    "property": {"name", "type", "value"},
-    "stochastic": {"tolerance", "min_samples"},
-    "interarrival": {"dist", "mean_ns", "min_ns", "max_ns", "std_ns"},
-    "exectime": {"dist", "mean_ns", "min_ns", "max_ns", "std_ns"},
+_SPELLINGS = {
+    tag: frozenset(spelling for attribute in attributes
+                   for spelling in attribute.spellings)
+    for tag, attributes in SCHEMA.items()
 }
-
-_FREQUENCY_ATTRIBUTES = ("frequence", "frequency")
 
 
 def tree_findings(root):
@@ -61,15 +53,15 @@ def tree_findings(root):
             elements.extend(child)
     for element in elements:
         tag = local_tag(element.tag)
-        known = _KNOWN_ATTRIBUTES.get(tag)
+        known = _SPELLINGS.get(tag)
         if known is None:
             continue  # unknown elements fail descriptor parse (DRT100)
         for raw_name in element.attrib:
             attr = local_tag(raw_name)
             if attr in known:
                 continue
-            if tag in ("aperiodictask", "sporadictask") \
-                    and attr in _FREQUENCY_ATTRIBUTES:
+            if tag in TASK_ELEMENTS.values() \
+                    and attr in FREQUENCY.spellings:
                 findings.append((
                     "DRT104", component,
                     "<%s> declares %s=%r but only periodic tasks "

@@ -58,15 +58,16 @@ class TestDeploy:
                 fleet.shutdown()
 
         parses = []
-        parse_root = descriptor._parse_root
+        parse_tree = descriptor.parse_descriptor_tree
 
-        def counted(text):
+        def counted(text, *args):
             parses.append(text)
-            return parse_root(text)
+            return parse_tree(text, *args)
 
         memo.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(descriptor, "_parse_root", counted)
+            for module in (descriptor, memo):  # both callers' names
+                patch.setattr(module, "parse_descriptor_tree", counted)
             landed = homes()
         assert len(parses) <= 2 * len(burst)
         # The claims are the floats a fresh parse gives.

@@ -6,8 +6,8 @@ target node only, and lints the baseline -- in full -- only when the
 candidate has a finding at or above ``fail_on``.  The algorithm it
 replaced lives on as :class:`ReferenceGuard`: lint the exported
 baseline and the candidate in full, and report the candidate's findings
-at or above ``fail_on`` whose ``(code, component)`` the baseline does
-not carry.
+at or above ``fail_on`` whose ``(code, component, location)`` the
+baseline does not carry.
 
 Hypothesis draws plan documents (2-4 nodes of 1-2 CPUs, 0-6 components
 per node with claims of 0.05-0.7, some pinned, some wired, some behind
@@ -21,12 +21,12 @@ and leave the same ``lint`` counters, at every ``fail_on`` and with
 and without a family filter.  Two directed cases pin what the draws
 reach only sometimes: a clash that takes a provider from a node the
 guard did not target, and verdicts decided by warnings alone.  A live
-fleet of 2-CPU nodes adds two more.  With four nodes, a full baseline
-matters: DRT301 names no component, so one node's existing
-over-commitment hides another's new one from the
-``(code, component)`` diff, and only a full baseline reproduces that.
-With three, the same deploy leaves no survivor CPU for a lost node's
-component, and both guards veto it with DRT602.
+fleet of 2-CPU nodes adds three more.  With four nodes, DRT301 names no
+component, but its location names the node: one node's existing
+over-commitment neither hides another's new one nor blocks a clean
+deploy or the node's own unrelated work.  With three, the same deploy
+leaves no survivor CPU for a lost node's component, and both guards
+veto it with DRT602.
 """
 
 import copy
@@ -88,11 +88,12 @@ class ReferenceGuard(PlanGuard):
         if application is not None and members is not None:
             candidate["applications"][application] = list(members)
         result = self._lint(candidate)
-        known = self._fingerprints(baseline)
+        known = {(d.code, d.component, d.location)
+                 for d in baseline.diagnostics}
         new = [diagnostic
                for diagnostic in result.at_or_above(self.fail_on)
-               if (diagnostic.code, diagnostic.component)
-               not in known]
+               if (diagnostic.code, diagnostic.component,
+                   diagnostic.location) not in known]
         if new:
             self._m_rejections.inc()
             for diagnostic in new:
@@ -368,33 +369,59 @@ def over_committed_fleet(node_count=3):
     return cluster
 
 
-def test_existing_drt301_elsewhere_lets_a_new_one_pass():
-    # A fourth, empty node keeps N-1 room after the deploy, so no
-    # DRT602 veto masks the DRT301 collision this case pins.
-    newcomer = make_descriptor_xml("BBB001", cpuusage=0.6,
-                                   frequency=10, priority=6)
+def guard_verdicts(xml, node, node_count=4):
+    """Both guards' verdicts on deploying ``xml`` onto ``node`` of a
+    fresh :func:`over_committed_fleet`, whose baseline carries node1's
+    DRT301."""
     verdicts = []
     for guard_class in (PlanGuard, ReferenceGuard):
-        cluster = over_committed_fleet(4)
+        cluster = over_committed_fleet(node_count)
         try:
             baseline = lint_plan(cluster.export_plan())
-            assert ("DRT301", "") in {
-                (d.code, d.component) for d in baseline.diagnostics}
-            assert "node1" in [d.location for d in baseline.diagnostics
-                               if d.code == "DRT301"][0]
-            guard = guard_class(cluster)
-            verdicts.append(view(guard.check_deploy([newcomer],
-                                                    "node0")))
+            assert [d.location for d in baseline.diagnostics
+                    if d.code == "DRT301"] == ["<plan>#node1[0]"]
+            verdicts.append(view(guard_class(cluster).check_deploy(
+                [xml], node)))
         finally:
             cluster.shutdown()
-    # The newcomer over-commits node0's CPU 0 (a second DRT301 with no
-    # component), which the (code, component) diff cannot tell apart
-    # from node1's: both guards let it pass.
-    assert verdicts == [[], []]
+    assert verdicts[0] == verdicts[1]
+    return verdicts[0]
+
+
+def test_a_new_drt301_beside_one_elsewhere_is_vetoed():
+    # A fourth, empty node keeps N-1 room after the deploy, so no
+    # DRT602 veto masks the DRT301 this case checks.
+    newcomer = make_descriptor_xml("BBB001", cpuusage=0.6,
+                                   frequency=10, priority=6)
+    # The newcomer over-commits node0's CPU 0: a second DRT301 with no
+    # component, told from node1's by its location.
+    assert [(code, component, location) for code, _, component,
+            location, _ in guard_verdicts(newcomer, "node0")] \
+        == [("DRT301", "", "<plan-guard>#node0[0]")]
     cluster = over_committed_fleet(4)
     try:
         cluster.install_plan_guard()
-        assert cluster.deploy(newcomer, node="node0") == "node0"
+        with pytest.raises(ClusterError, match="DRT301"):
+            cluster.deploy(newcomer, node="node0")
+        assert "BBB001" not in cluster.deployments
+    finally:
+        cluster.shutdown()
+
+
+@pytest.mark.parametrize("node, cpuusage", [("node0", 0.2),
+                                            ("node1", 0.1)])
+def test_debt_on_one_node_blocks_no_clean_deploy(node, cpuusage):
+    # node1's over-committed CPU 0 stays where it was: a deploy that
+    # adds nothing over-committed passes, onto node0 or onto node1
+    # itself (whose candidate carries the old DRT301 at its old
+    # location).
+    newcomer = make_descriptor_xml("CCC000", cpuusage=cpuusage,
+                                   frequency=10, priority=9, cpu=1)
+    assert guard_verdicts(newcomer, node) == []
+    cluster = over_committed_fleet(4)
+    try:
+        cluster.install_plan_guard()
+        assert cluster.deploy(newcomer, node=node) == node
         assert cluster.sim.telemetry.registry("lint").get(
             "plan_rejections_total").value == 0
     finally:
@@ -405,9 +432,10 @@ def test_a_deploy_that_leaves_no_cpu_for_a_survivor_is_vetoed():
     """Three 2-CPU nodes: with BBB001 beside BBB000, node0's CPUs sit
     at 0.6 | 0.6, so losing node1 re-homes AAA000 and AAA001 onto
     node2 and no survivor CPU is left for AAA002 (0.6).  A per-node
-    total (1.2 of 2.0 on node0) would still take it."""
+    total (1.2 of 2.0 on node0) would still take it.  BBB001 declares
+    CPU 1: on CPU 0 it would also over-commit it (DRT301)."""
     newcomer = make_descriptor_xml("BBB001", cpuusage=0.6,
-                                   frequency=10, priority=6)
+                                   frequency=10, priority=6, cpu=1)
     verdicts = []
     for guard_class in (PlanGuard, ReferenceGuard):
         cluster = over_committed_fleet()
