@@ -221,7 +221,7 @@ class RealTimeContract:
 
     __slots__ = ("name", "task_type", "priority", "cpu_usage",
                  "frequency_hz", "period_ns", "deadline_ns", "cpu",
-                 "stochastic")
+                 "stochastic", "wcet_ns")
 
     def __init__(self, name, task_type, priority=0, cpu_usage=0.0,
                  frequency_hz=None, deadline_ns=None, cpu=0,
@@ -283,6 +283,14 @@ class RealTimeContract:
                 "stochastic must be a StochasticContract, got %r"
                 % (stochastic,))
         self.stochastic = stochastic
+        #: Derived worst-case execution time: cpuusage * period, rounded
+        #: *up* -- WCET is a demand bound, and truncating toward zero
+        #: would let admission/RTA under-count by up to 1 ns per task.
+        #: ``None`` for aperiodic contracts (no period to scale by).
+        #: Computed once: nothing assigns ``cpu_usage`` or ``period_ns``
+        #: after construction, and every job reads it.
+        self.wcet_ns = None if self.period_ns is None \
+            else int(math.ceil(self.cpu_usage * self.period_ns))
 
     @property
     def is_periodic(self):
@@ -295,19 +303,6 @@ class RealTimeContract:
         or sporadic minimum inter-arrival) -- i.e. whether it is
         analysable by the periodic schedulability tests."""
         return self.period_ns is not None
-
-    @property
-    def wcet_ns(self):
-        """Derived worst-case execution time: cpuusage * period.
-
-        Rounded *up*: WCET is a demand bound, and truncating toward
-        zero would let admission/RTA under-count by up to 1 ns per
-        task.  ``None`` for aperiodic contracts (no period to scale
-        by).
-        """
-        if self.period_ns is None:
-            return None
-        return int(math.ceil(self.cpu_usage * self.period_ns))
 
     def as_dict(self):
         """Plain-data view (management interface, traces, tests)."""

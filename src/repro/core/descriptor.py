@@ -16,7 +16,9 @@ properties.  The reference sample (Figure 2)::
     </drt:component>
 
 One table, :data:`SCHEMA`, holds the vocabulary; the parser, the
-renderer and drtlint's schema checks (DRT104/DRT107) all read it.
+renderer and drtlint's schema checks (DRT104/DRT107) all read it.  The
+renderer reads it once, at import: each element's attributes compile
+to one renderer (``_render_plan``).
 Every value goes through one checked conversion, so a malformed
 descriptor raises a :class:`~repro.core.errors.DRComError`, never
 anything else.  Parsing tolerates the paper's quirks: ``frequence`` and
@@ -48,12 +50,14 @@ _UNBOUND_PREFIX = re.compile(r"(</?)drt:")
 # ----------------------------------------------------------------------
 class Attribute(collections.namedtuple(
         "Attribute",
-        ("name", "field", "convert", "render", "default", "spellings"))):
+        ("name", "field", "convert", "render", "spec", "default",
+         "spellings"))):
     """``name`` is the spelling the renderer writes and errors quote,
     ``spellings`` those the parser accepts, in priority order, and
     ``field`` the keyword the value feeds.  ``convert`` turns text into
-    the value (``ValueError``/``TypeError`` for bad text), ``render``
-    the value into text.  ``default`` is an absent attribute's value,
+    the value (``ValueError``/``TypeError`` for bad text); the printf
+    conversion ``spec`` turns it back into text, after ``render`` when
+    that is not None.  ``default`` is an absent attribute's value,
     ``_REQUIRED``, or ``_OMITTED`` (sets no field)."""
 
     __slots__ = ()
@@ -78,17 +82,17 @@ def _parse_task_type(text):
         "component type must be periodic or aperiodic, got %r" % (text,))
 
 
-# (convert, render) pairs.
-_TEXT = (str, xml_escape)
-_INT = (int, "%d".__mod__)
-_FLOAT = (float, repr)
+# (convert, render, spec) triples.
+_TEXT = (str, xml_escape, "%s")
+_INT = (int, None, "%d")
+_FLOAT = (float, None, "%r")
 _FLAG = (lambda text: text.strip().lower() != "false",
-         ("false", "true").__getitem__)
-_TASK_TYPE = (_parse_task_type, operator.attrgetter("value"))
+         ("false", "true").__getitem__, "%s")
+_TASK_TYPE = (_parse_task_type, operator.attrgetter("value"), "%s")
 
 
 def _attribute(name, field, kind=_TEXT, default=None, spellings=None):
-    return Attribute(name, field, kind[0], kind[1], default,
+    return Attribute(name, field, kind[0], kind[1], kind[2], default,
                      spellings or (name,))
 
 
@@ -175,16 +179,55 @@ def _read_attributes(element, tag):
     return values
 
 
-def _render_attributes(tag, values):
-    """`` name="text"`` for each attribute of ``tag`` whose field has a
-    value other than None in ``values``, in table order."""
-    rendered = ""
-    for attribute in SCHEMA[tag]:
-        value = values.get(attribute.field)
-        if value is not None:
-            rendered += ' %s="%s"' % (attribute.name,
-                                      attribute.render(value))
-    return rendered
+def _render_plan(attributes):
+    """Compile the renderer of one element's attributes.
+
+    The renderer takes one value per attribute, in table order, and
+    returns `` name="text"`` for each value that is not None.  Its
+    source is generated from the attributes once, at import, so a
+    render makes one call per element -- no table walk, value dict or
+    per-attribute dispatch -- and, when no value is None, one printf.
+    For ``periodictask`` it reads::
+
+        def render(v0, v1, v2, v3):
+            if v0 is not None and v1 is not None and ...:
+                return ' frequence="%r" runoncpu="%d" ...' % (v0, v1, ...)
+            return ((' frequence="%r"' % (v0,) if v0 is not None else '')
+                    + ...)
+
+    An attribute with a ``render`` callable passes its value through
+    it first (``r0(v0)``).
+    """
+    namespace = {}
+    names, values, pieces = [], [], []
+    for index, attribute in enumerate(attributes):
+        name = "v%d" % index
+        names.append(name)
+        if attribute.render is None:
+            values.append(name)
+        else:
+            namespace["r%d" % index] = attribute.render
+            values.append("r%d(%s)" % (index, name))
+        pieces.append(' %s="%s"' % (attribute.name, attribute.spec))
+    source = (
+        "def render(%s):\n"
+        "    if %s:\n"
+        "        return %r %% (%s,)\n"
+        "    return (%s)\n" % (
+            ", ".join(names),
+            " and ".join("%s is not None" % name for name in names),
+            "".join(pieces), ", ".join(values),
+            "\n            + ".join(
+                "(%r %% (%s,) if %s is not None else '')"
+                % (piece, value, name)
+                for piece, value, name in zip(pieces, values, names))))
+    exec(source, namespace)  # the source is built from SCHEMA alone
+    return namespace["render"]
+
+
+#: Element -> its compiled attribute renderer (:func:`_render_plan`).
+_RENDERERS = {tag: _render_plan(attributes)
+              for tag, attributes in SCHEMA.items()}
 
 
 class ComponentProperty:
@@ -376,46 +419,52 @@ class ComponentDescriptor:
 
     def render_xml(self):
         """Render the descriptor XML afresh (what :meth:`to_xml`
-        stores)."""
+        stores).  Each element's renderer takes its values in
+        :data:`SCHEMA` order."""
+        render = _RENDERERS
         contract = self.contract
-        deadline_ns = contract.deadline_ns
         task_tag = TASK_ELEMENTS[contract.task_type]
+        # The rate attribute leads the task element's; aperiodic tasks
+        # have none.
+        if task_tag == "periodictask":
+            rate = (contract.frequency_hz,)
+        elif task_tag == "sporadictask":
+            rate = (contract.period_ns,)
+        else:
+            rate = ()
+        deadline_ns = contract.deadline_ns
+        # A deadline equal to the period is the default.
+        if deadline_ns == contract.period_ns:
+            deadline_ns = None
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             '<drt:component xmlns:drt="%s"%s>' % (
-                DRT_NAMESPACE, _render_attributes("component", {
-                    "name": self.name, "description": self.description,
-                    "task_type": contract.task_type,
-                    "enabled": self.enabled,
-                    "cpu_usage": contract.cpu_usage})),
-            '  <implementation%s/>' % _render_attributes(
-                "implementation", {"implementation": self.implementation}),
-            '  <%s%s/>' % (task_tag, _render_attributes(task_tag, {
-                "frequency_hz": contract.frequency_hz,
-                "min_interarrival_ns": contract.period_ns,
-                "cpu": contract.cpu, "priority": contract.priority,
-                # A deadline equal to the period is the default.
-                "deadline_ns": None if deadline_ns == contract.period_ns
-                else deadline_ns})),
+                DRT_NAMESPACE, render["component"](
+                    self.name, self.description, contract.task_type,
+                    self.enabled, contract.cpu_usage)),
+            '  <implementation%s/>' % render["implementation"](
+                self.implementation),
+            '  <%s%s/>' % (task_tag, render[task_tag](
+                *rate, contract.cpu, contract.priority, deadline_ns)),
         ]
         stochastic = contract.stochastic
         if stochastic is not None:
-            lines.append('  <stochastic%s>' % _render_attributes(
-                "stochastic", {"tolerance": stochastic.tolerance,
-                               "min_samples": stochastic.min_samples}))
+            lines.append('  <stochastic%s>' % render["stochastic"](
+                stochastic.tolerance, stochastic.min_samples))
             for clause, spec in stochastic.clauses():
-                lines.append('    <%s%s/>' % (
-                    clause, _render_attributes(clause, spec.as_dict())))
+                params = spec.as_dict()
+                lines.append('    <%s%s/>' % (clause, render[clause](*[
+                    params.get(attribute.field)
+                    for attribute in SCHEMA[clause]])))
             lines.append('  </stochastic>')
         for port in self.ports:
             tag = port.direction.value
-            lines.append('  <%s%s/>' % (tag, _render_attributes(tag, {
-                "name": port.name, "interface": port.interface.value,
-                "data_type": port.data_type, "size": port.size})))
+            lines.append('  <%s%s/>' % (tag, render[tag](
+                port.name, port.interface.value, port.data_type,
+                port.size)))
         for prop in self.properties.values():
-            lines.append('  <property%s/>' % _render_attributes(
-                "property", {"name": prop.name, "type_name": prop.type_name,
-                             "raw_value": prop.value}))
+            lines.append('  <property%s/>' % render["property"](
+                prop.name, prop.type_name, prop.value))
         lines.append("</drt:component>")
         return "\n".join(lines)
 

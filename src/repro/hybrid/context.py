@@ -19,6 +19,9 @@ class RTContext:
 
     def __init__(self, descriptor, kernel):
         self.descriptor = descriptor
+        #: The component's real-time contract (the descriptor's, which
+        #: is never replaced).
+        self.contract = descriptor.contract
         self.kernel = kernel
         #: Live configuration properties.  Conceptually a shared segment
         #: owned by the RT side: the management part *reads* it directly
@@ -26,6 +29,9 @@ class RTContext:
         self.properties = descriptor.property_dict()
         #: Kernel objects backing the ports (name -> SHM or Mailbox).
         self.port_objects = {}
+        # (declared name, direction) -> (port, object) for the bound
+        # ports; bind_ports fills it and unbind_ports clears it.
+        self._bound = {}
         #: The RT task once started (set by the container).
         self.task = None
         #: Jobs completed since activation.
@@ -40,11 +46,6 @@ class RTContext:
         """The component name."""
         return self.descriptor.name
 
-    @property
-    def contract(self):
-        """The component's real-time contract."""
-        return self.descriptor.contract
-
     def now(self):
         """Current simulated time (ns)."""
         return self.kernel.now
@@ -53,13 +54,15 @@ class RTContext:
     # port access
     # ------------------------------------------------------------------
     def _port(self, name, direction):
+        """``(port, object)`` for a port named case-insensitively."""
+        found = self._bound.get((name, direction)) \
+            or self._bound.get((name.upper(), direction))
+        if found is not None:
+            return found
         for port in self.descriptor.ports:
             if port.name == name.upper() and port.direction is direction:
-                obj = self.port_objects.get(port.name)
-                if obj is None:
-                    raise KeyError(
-                        "port %s of %s is not bound" % (name, self.name))
-                return port, obj
+                raise KeyError(
+                    "port %s of %s is not bound" % (name, self.name))
         raise KeyError("component %s has no %s named %r"
                        % (self.name, direction.value, name))
 
@@ -167,6 +170,7 @@ def bind_ports(ctx, kernel, bindings):
             else:
                 obj = kernel.mailbox(port.name, capacity=port.size)
         ctx.port_objects[port.name] = obj
+        ctx._bound[(port.name, port.direction)] = (port, obj)
     by_inport = {binding.inport.name: binding for binding in bindings}
     for port in descriptor.inports:
         binding = by_inport.get(port.name)
@@ -179,11 +183,13 @@ def bind_ports(ctx, kernel, bindings):
         else:
             obj = kernel.lookup(binding.kernel_object)
         ctx.port_objects[port.name] = obj
+        ctx._bound[(port.name, port.direction)] = (port, obj)
 
 
 def unbind_ports(ctx, kernel):
     """Release the kernel objects backing a component's ports."""
     descriptor = ctx.descriptor
+    ctx._bound.clear()
     for port in descriptor.outports + descriptor.inports:
         obj = ctx.port_objects.pop(port.name, None)
         if obj is None:

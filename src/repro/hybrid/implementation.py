@@ -52,23 +52,26 @@ class SyntheticImplementation(RTImplementation):
     do some simulated computing job", section 4.2).
 
     Each job burns the contract WCET, stamps a monotonically increasing
-    sequence number into every outport, and polls every inport.
+    sequence number into every outport, and polls every inport.  The
+    port lists are resolved once per activation, in :meth:`init`.
     """
 
     def init(self, ctx):
         ctx.properties.setdefault("synthetic.sequence", 0)
+        self._outports = ctx.descriptor.outports
+        self._inports = ctx.descriptor.inports
 
     def execute(self, ctx):
         sequence = ctx.properties["synthetic.sequence"] + 1
         ctx.properties["synthetic.sequence"] = sequence
-        for port in ctx.descriptor.outports:
+        for port in self._outports:
             if port.data_type == "Byte":
                 ctx.write_outport(port.name, sequence % 256)
             elif port.data_type == "Float":
                 ctx.write_outport(port.name, float(sequence))
             else:
                 ctx.write_outport(port.name, sequence)
-        for port in ctx.descriptor.inports:
+        for port in self._inports:
             ctx.read_inport(port.name)
 
 

@@ -15,6 +15,9 @@ from repro.hybrid.protocol import CommandKind, Reply
 from repro.rtos.requests import Compute, SuspendSelf, WaitPeriod
 from repro.rtos.task import TaskType
 
+#: ``WaitPeriod`` holds no state, so every job yields this one.
+_WAIT_PERIOD = WaitPeriod()
+
 
 class RealTimePart:
     """Builds and owns the RT task body for one component."""
@@ -34,7 +37,7 @@ class RealTimePart:
     def _periodic_body(self, task):
         ctx = self.ctx
         while True:
-            latency = yield WaitPeriod()
+            latency = yield _WAIT_PERIOD
             ctx.last_latency = latency
             compute = self.implementation.compute_ns(ctx)
             if compute > 0:

@@ -29,7 +29,11 @@ Unit model
   (fault plans, benchmark baselines) pass through unexamined;
 * a ``.json`` file that does not parse is one source with one
   "invalid JSON" error: DRT600 when the deployment family runs, else
-  DRT500 when the rules family does.
+  DRT500 when the rules family does;
+* a file that is not UTF-8 is one source with one error, the code an
+  unparseable file of its kind gets: DRT100 (``.xml``), DRT600 or
+  DRT500 (``.json``, as above) or DRT400 (``.py``, when the rtsafety
+  family runs).
 
 Paths reachable more than once in one invocation (a file named
 directly and again under a directory argument, a symlink, a duplicate
@@ -280,6 +284,21 @@ def extract_descriptor_literals(source):
     return literals
 
 
+def _read_source(path):
+    """``(text, None)``, or ``(None, (line, message))`` when ``path``
+    is not UTF-8: the line of the first undecodable byte and why."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        line = data.count(b"\n", 0, error.start) + 1
+        return None, (line, "is not UTF-8: byte 0x%02x at line %d (%s)"
+                      % (data[error.start], line, error.reason))
+    # The newlines a text-mode open() would have translated.
+    return text.replace("\r\n", "\n").replace("\r", "\n"), None
+
+
 def _parses(text):
     try:
         json.loads(text)
@@ -302,14 +321,27 @@ def lint_paths(paths, families=FAMILIES, telemetry=None):
     units = 0
     sources = 0
     xml_texts = []
+    xml_sources = 0
     for path in files:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text, undecodable = _read_source(path)
         if path.endswith(".xml"):
-            xml_texts.append((path, text))
-            sources += 1
+            xml_sources += 1
+            if undecodable is None:
+                xml_texts.append((path, text))
+            else:
+                diagnostics.append(Diagnostic(
+                    "DRT100", "", path, "descriptor " + undecodable[1]))
             continue
         if path.endswith(".json"):
+            if undecodable is not None:
+                code = "DRT600" if "deployment" in families \
+                    else "DRT500" if "rules" in families else None
+                if code is not None:
+                    diagnostics.append(Diagnostic(
+                        code, "", path, "file " + undecodable[1]))
+                units += 1
+                sources += 1
+                continue
             # Neither sniffer recognises a file that does not parse;
             # it is a finding (DRT600, else DRT500), never skipped.
             broken = not _parses(text)
@@ -327,6 +359,14 @@ def lint_paths(paths, families=FAMILIES, telemetry=None):
                 units += 1
                 sources += 1
             continue
+        if undecodable is not None:
+            if "rtsafety" in families:
+                diagnostics.append(Diagnostic(
+                    "DRT400", "", "%s:%d" % (path, undecodable[0]),
+                    "implementation source " + undecodable[1]))
+            units += 1
+            sources += 1
+            continue
         literals = extract_descriptor_literals(text)
         unit = [("%s:%d" % (path, line), xml)
                 for line, xml in literals]
@@ -338,6 +378,8 @@ def lint_paths(paths, families=FAMILIES, telemetry=None):
         sources += 1 + len(literals)
     if xml_texts:
         diagnostics.extend(lint_descriptor_texts(xml_texts, families))
+    if xml_sources:
+        sources += xml_sources
         units += 1
     result = LintResult(diagnostics, units=units, sources=sources)
     if telemetry is not None:

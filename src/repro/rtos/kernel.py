@@ -16,9 +16,10 @@ A task body is a generator; the kernel drives it (see
 :mod:`repro.rtos.requests`).  ``Compute`` segments occupy the CPU and are
 preemptible; every other request is processed in zero simulated time at
 the instant it is yielded.  Every dispatch decision is funnelled
-through one coalesced same-instant event per CPU (``_do_resched``) so
-that arbitrarily deep wake chains (a send waking a receiver waking a
-sender...) settle deterministically before time advances.
+through one coalesced same-instant event per CPU (``_do_resched``,
+queued on the simulator's same-instant lane) so that arbitrarily deep
+wake chains (a send waking a receiver waking a sender...) settle
+deterministically before time advances.
 
 A request queues that event only when it can dispatch something: never
 while the CPU's ready set is empty, and never for a newly ready task
@@ -52,8 +53,7 @@ from repro.rtos.task import (
     TaskState,
     TaskType,
 )
-from repro.sim.events import PRIORITY_INTERRUPT, PRIORITY_LATE, \
-    PRIORITY_NORMAL
+from repro.sim.events import PRIORITY_INTERRUPT, PRIORITY_NORMAL
 
 TIMER_PERIODIC = "periodic"
 TIMER_ONESHOT = "oneshot"
@@ -788,8 +788,7 @@ class RTKernel:
                     self._queue_resched(cpu)
                 else:
                     self._resched_pending[cpu] = True
-                    sim._push(sim._now, PRIORITY_LATE, self._do_resched,
-                              (cpu,), "resched")
+                    sim._push_soon(self._do_resched, (cpu,), "resched")
         else:
             # Task has not finished its previous job yet: overrun.  The
             # pending nominal makes the next WaitPeriod return at once.
@@ -820,7 +819,7 @@ class RTKernel:
         task, else reserved (module docstring)."""
         if self._resched_pending[cpu]:
             return
-        if self._schedulers[cpu]:
+        if self._schedulers[cpu].ready:
             self._queue_resched(cpu)
         else:
             self._reserve_resched(cpu)
@@ -841,9 +840,7 @@ class RTKernel:
         self._queue_reserved()
         if not self._resched_pending[cpu]:
             self._resched_pending[cpu] = True
-            sim = self.sim
-            sim._push(sim._now, PRIORITY_LATE, self._do_resched, (cpu,),
-                      "resched")
+            self.sim._push_soon(self._do_resched, (cpu,), "resched")
 
     def _queue_reserved(self):
         """Queue the passes reserved at this instant, in reservation
@@ -851,15 +848,13 @@ class RTKernel:
         from an earlier instant lapse: those passes would have found
         nothing to do."""
         sim = self.sim
-        now = sim._now
-        if self._reserved_at != now:
+        if self._reserved_at != sim._now:
             return
         self._reserved_at = None
         for cpu in self._reserved:
             if not self._resched_pending[cpu]:
                 self._resched_pending[cpu] = True
-                sim._push(now, PRIORITY_LATE, self._do_resched, (cpu,),
-                          "resched")
+                sim._push_soon(self._do_resched, (cpu,), "resched")
 
     def _do_resched(self, cpu):
         """Pick-and-dispatch for one CPU (the coalesced resched event).
@@ -974,15 +969,21 @@ class RTKernel:
         if task._quantum_event is not None:
             task._quantum_event.cancel_if_pending()
             task._quantum_event = None
-        if task._compute_started is not None:
-            consumed = max(0, self.sim.now - task._compute_started)
-            consumed = min(consumed, task._remaining_ns)
+        now = self.sim._now
+        started = task._compute_started
+        if started is not None:
+            consumed = now - started
+            if consumed < 0:
+                consumed = 0
+            if consumed > task._remaining_ns:
+                consumed = task._remaining_ns
             task._remaining_ns -= consumed
             task.stats.cpu_time_ns += consumed
             task._compute_started = None
         self._running[cpu] = None
-        if self._segment_start[cpu] is not None:
-            self._rt_busy_ns[cpu] += self.sim.now - self._segment_start[cpu]
+        segment_start = self._segment_start[cpu]
+        if segment_start is not None:
+            self._rt_busy_ns[cpu] += now - segment_start
             self._segment_start[cpu] = None
         if self.config.trace_kernel:
             self._trace("off_cpu", task=task.name, cpu=cpu)
@@ -1084,6 +1085,8 @@ class RTKernel:
         """Process a WaitPeriod.  Returns the latency when the task can
         continue immediately (overrun catch-up), else ``None`` after
         parking it."""
+        sim = self.sim
+        now = sim._now
         # Job-completion bookkeeping for the job that just ended.
         if task._release_nominal is not None:
             task.stats.completions += 1
@@ -1091,16 +1094,16 @@ class RTKernel:
                 task._tap.on_complete(task.stats.cpu_time_ns)
             if task.deadline_ns is not None:
                 deadline = task._release_nominal + task.deadline_ns
-                if self.sim.now > deadline:
+                if now > deadline:
                     task.stats.deadline_misses += 1
                     self._m_deadline_misses.inc()
                     self._trace("deadline_miss", task=task.name,
                                 nominal=task._release_nominal,
-                                lateness=self.sim.now - deadline)
+                                lateness=now - deadline)
         if task._pending_nominals:
             nominal = task._pending_nominals.popleft()
             task._release_nominal = nominal
-            latency = self.sim.now - nominal
+            latency = now - nominal
             if task.stats.latency is not None:
                 task.stats.latency.add(latency)
             self._observe_latency(latency)
@@ -1111,15 +1114,13 @@ class RTKernel:
         # (inline _request_resched)
         cpu = task.cpu
         if not self._resched_pending[cpu]:
-            sim = self.sim
-            if not self._schedulers[cpu]:
+            if not self._schedulers[cpu].ready:
                 self._reserve_resched(cpu)
-            elif self._reserved_at == sim._now:
+            elif self._reserved_at == now:
                 self._queue_resched(cpu)
             else:
                 self._resched_pending[cpu] = True
-                sim._push(sim._now, PRIORITY_LATE, self._do_resched,
-                          (cpu,), "resched")
+                sim._push_soon(self._do_resched, (cpu,), "resched")
         return None
 
     def _release_cpu_if_running(self, task):

@@ -19,7 +19,8 @@ is set exactly while priority level ``p`` holds a ready task, so
 of running ``min()`` over the level keys -- the same O(1) trick RTAI's
 own scheduler uses over its 2-level bitmap.  A side ``set`` of ready
 tasks turns the duplicate-insert guard from an O(level) deque scan into
-one hash probe.  Priorities are expected to be small non-negative
+one hash probe; that set is the ``ready`` container every policy
+exposes.  Priorities are expected to be small non-negative
 integers (RTAI convention; descriptor validation keeps them in range) --
 the bitmap is an arbitrary-precision int, so larger values stay correct,
 they just cost proportionally more bits.
@@ -34,7 +35,13 @@ from repro.telemetry.metrics import NULL_COUNTER
 
 
 class Scheduler:
-    """Interface shared by all ready-queue policies."""
+    """Interface shared by all ready-queue policies.
+
+    Every policy keeps its ready tasks in a container named ``ready``
+    (a set, or a dict keyed by task) that is truthy exactly while a
+    task is ready: the kernel tests it on every park instead of
+    calling ``len``.
+    """
 
     #: Human-readable policy name (used in traces and benchmarks).
     policy = "abstract"
@@ -88,7 +95,7 @@ class Scheduler:
         return False
 
     def __len__(self):
-        raise NotImplementedError
+        return len(self.ready)
 
 
 class PriorityScheduler(Scheduler):
@@ -103,14 +110,11 @@ class PriorityScheduler(Scheduler):
     def __init__(self, rr_quantum_ns=None):
         self._levels = {}
         self._bitmap = 0
-        self._ready = set()
+        self.ready = set()
         self.rr_quantum_ns = rr_quantum_ns
 
-    def __len__(self):
-        return len(self._ready)
-
     def add(self, task):
-        if task in self._ready:
+        if task in self.ready:
             raise SchedulerError("task %s already ready" % task.name)
         priority = task.priority
         queue = self._levels.get(priority)
@@ -118,11 +122,11 @@ class PriorityScheduler(Scheduler):
             queue = self._levels[priority] = deque()
             self._bitmap |= 1 << priority
         queue.append(task)
-        self._ready.add(task)
+        self.ready.add(task)
         self._enqueues.inc()
 
     def remove(self, task):
-        if task not in self._ready:
+        if task not in self.ready:
             raise SchedulerError("task %s not in ready set" % task.name)
         priority = task.priority
         queue = self._levels[priority]
@@ -134,7 +138,7 @@ class PriorityScheduler(Scheduler):
         if not queue:
             del self._levels[priority]
             self._bitmap &= ~(1 << priority)
-        self._ready.discard(task)
+        self.ready.discard(task)
         self._dequeues.inc()
 
     def pick(self):
@@ -176,11 +180,9 @@ class EDFScheduler(Scheduler):
 
     def __init__(self):
         self._heap = []
-        self._entries = {}
+        #: task -> its heap entry.
+        self.ready = {}
         self._counter = itertools.count()
-
-    def __len__(self):
-        return len(self._entries)
 
     @staticmethod
     def _absolute_deadline(task):
@@ -202,15 +204,15 @@ class EDFScheduler(Scheduler):
         return (0, deadline, task.priority)
 
     def add(self, task):
-        if task in self._entries:
+        if task in self.ready:
             raise SchedulerError("task %s already ready" % task.name)
         entry = [self._key(task), next(self._counter), task, True]
-        self._entries[task] = entry
+        self.ready[task] = entry
         heapq.heappush(self._heap, entry)
         self._enqueues.inc()
 
     def remove(self, task):
-        entry = self._entries.pop(task, None)
+        entry = self.ready.pop(task, None)
         if entry is None:
             raise SchedulerError("task %s not in ready set" % task.name)
         entry[3] = False  # lazy deletion

@@ -17,15 +17,33 @@ identical to the seed's pop-per-event order -- ``seq`` strictly
 increases, ties resolve FIFO.  The loop also folds the per-event
 ``sim.events_total`` increment into one batched add per run window.
 The scheduling entry points (:meth:`schedule`, :meth:`schedule_at`,
-:meth:`schedule_interrupt`, :meth:`call_soon`) delegate to one shared
-``_push`` that builds the heap entry and the :class:`Event` record
-inline -- two frames per scheduled event where the seed chained
-through ``schedule_at`` + ``EventQueue.push`` + ``Event.__init__``.
+:meth:`schedule_interrupt`) delegate to one shared ``_push`` that
+builds the heap entry and the :class:`Event` record inline -- two
+frames per scheduled event where the seed chained through
+``schedule_at`` + ``EventQueue.push`` + ``Event.__init__``.
+
+**The same-instant lane.**  Inside :meth:`run`, a callback for the
+current instant at ``PRIORITY_LATE`` (:meth:`call_soon` and the
+kernel's rescheduling passes, both through ``_push_soon``) builds no
+:class:`Event` and never touches the heap: it draws its ``seq`` as any
+push would and appends ``(now, PRIORITY_LATE, seq, callback, args,
+label)`` to a FIFO lane.  Before taking the next event, the loop fires
+the lane head directly while neither the backlog cursor's head nor the
+side heap's head sorts before it -- one tuple comparison each.  When
+one does, the whole lane spills into the side heap as ordinary entries
+that keep the seqs they drew, so the fired order is the one the heap
+alone would give.  Lane firings count in :attr:`processed_events`,
+``max_events`` and ``sim.events_total`` like any other event; a lane
+entry cannot be cancelled.  Outside :meth:`run` (in :meth:`step`, or
+between windows) ``_push_soon`` pushes an :class:`Event` as ``_push``
+does.
+
 :meth:`step` keeps the original one-event-at-a-time contract for
 callers that need it; both paths fire events in the identical
 ``(time, priority, seq)`` order.
 """
 
+from collections import deque
 from heapq import heapify as _heapify
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
@@ -78,6 +96,9 @@ class Simulator:
         self._max_events = max_events
         self._processed = 0
         self._running = False
+        # The same-instant lane (module notes): a deque while run() is
+        # draining, None outside it.
+        self._lane = None
         self._telemetry = telemetry if telemetry is not None \
             else Telemetry()
         registry = self._telemetry.registry("sim")
@@ -111,7 +132,8 @@ class Simulator:
     @property
     def pending_events(self):
         """Number of live (not cancelled, not fired) events."""
-        return len(self._queue)
+        lane = self._lane
+        return len(self._queue) + (len(lane) if lane else 0)
 
     @property
     def processed_events(self):
@@ -141,6 +163,31 @@ class Simulator:
         queue._live += 1
         return event
 
+    def _push_soon(self, callback, args, label):
+        """Queue ``callback(*args)`` at ``(now, PRIORITY_LATE)``: on the
+        same-instant lane inside :meth:`run`, else as an :class:`Event`
+        (module notes)."""
+        lane = self._lane
+        if lane is None:
+            self._push(self._now, PRIORITY_LATE, callback, args, label)
+            return
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        lane.append((self._now, PRIORITY_LATE, seq, callback, args, label))
+
+    def _spill_lane(self):
+        """Move the lane's entries into the queue's heap as ordinary
+        events that keep their seqs."""
+        lane = self._lane
+        queue = self._queue
+        heap = queue._heap
+        for when, priority, seq, callback, args, label in lane:
+            _heappush(heap, (when, priority, seq, Event(
+                when, priority, seq, callback, args, label, queue)))
+        queue._live += len(lane)
+        lane.clear()
+
     def schedule(self, delay, callback, *args, priority=PRIORITY_NORMAL,
                  label=""):
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
@@ -164,8 +211,11 @@ class Simulator:
 
     def call_soon(self, callback, *args, label=""):
         """Run ``callback`` at the current instant, after pending
-        same-instant events of lower or equal priority already queued."""
-        return self._push(self._now, PRIORITY_LATE, callback, args, label)
+        same-instant events of lower or equal priority already queued.
+
+        Returns nothing: the callback rides the same-instant lane
+        during :meth:`run` (module notes) and cannot be cancelled."""
+        self._push_soon(callback, args, label)
 
     # ------------------------------------------------------------------
     # execution
@@ -204,11 +254,14 @@ class Simulator:
         # during the window go to a fresh side heap and are merged in
         # order with one tuple comparison per event.  Heap entries are
         # (when, priority, seq, event) tuples -- see repro.sim.events.
+        # Same-instant late callbacks wait on the lane, which fires
+        # ahead of both while nothing there sorts before its head.
         queue = self._queue
         epoch = queue._epoch
         backlog = queue._heap
         backlog.sort()
         queue._heap = heap = []
+        self._lane = lane = deque()
         cursor = 0
         n_backlog = len(backlog)
         heappop = _heappop
@@ -217,6 +270,21 @@ class Simulator:
         fired = 0
         try:
             while self._running:
+                if lane:
+                    entry = lane[0]
+                    if (cursor < n_backlog and backlog[cursor] < entry) \
+                            or (heap and heap[0] < entry):
+                        self._spill_lane()
+                    else:
+                        lane.popleft()
+                        fired += 1
+                        self._processed += 1
+                        if self._processed > max_events:
+                            raise SimulationLimitError(
+                                "exceeded max_events=%d at t=%d ns" %
+                                (max_events, self._now))
+                        entry[3](*entry[4])
+                        continue
                 if cursor < n_backlog:
                     entry = backlog[cursor]
                     if heap and heap[0] < entry:
@@ -250,6 +318,11 @@ class Simulator:
                 event.callback(*event.args)
         finally:
             self._running = False
+            # stop() or an exception leaves lane entries unfired; they
+            # join the queue (reset() already dropped the earlier ones).
+            if lane:
+                self._spill_lane()
+            self._lane = None
             if queue._epoch == epoch:
                 # Fold the unfired backlog tail back into the queue.
                 if cursor < n_backlog:
@@ -288,6 +361,8 @@ class Simulator:
         statistically independent run.
         """
         self._queue.clear()
+        if self._lane:
+            self._lane.clear()
         self._trace.clear()
         self._now = 0
         self._processed = 0

@@ -215,6 +215,36 @@ class TestCommandPath:
         assert container.task.stats.completions >= 100
 
 
+class TestContextPorts:
+    def test_lower_case_names_resolve_across_reactivation(self, sim, kernel,
+                                                          token):
+        component = make_component(
+            token, "PROV00", cpuusage=0.05,
+            outports=[("DATA00", "RTAI.SHM", "Integer", 4)])
+        kernel.start_timer(1 * MSEC)
+        container = activate(kernel, component)
+        ctx = container.ctx
+        assert ctx.write_outport("data00", 7) is True
+        assert kernel.lookup("DATA00").read_at(0) == 7
+        with pytest.raises(KeyError) as unknown:
+            ctx.write_outport("nope00", 1)
+        assert unknown.value.args[0] \
+            == "component PROV00 has no outport named 'nope00'"
+        with pytest.raises(KeyError) as wrong_direction:
+            ctx.read_inport("data00")
+        assert wrong_direction.value.args[0] \
+            == "component PROV00 has no inport named 'data00'"
+        container.deactivate()
+        with pytest.raises(KeyError) as unbound:
+            ctx.write_outport("data00", 1)
+        assert unbound.value.args[0] == "port data00 of PROV00 is not bound"
+        container.activate([])
+        # The segment is a new one: the name must reach it, not the
+        # segment freed at deactivation.
+        assert ctx.write_outport("data00", 9) is True
+        assert kernel.lookup("DATA00").read_at(0) == 9
+
+
 class TestImplementationRegistry:
     def test_unknown_bincode_falls_back_to_synthetic(self):
         registry = ImplementationRegistry()

@@ -146,6 +146,36 @@ class TestExitCodes:
         assert "0 diagnostic(s)" in capsys.readouterr().out
 
 
+class TestUndecodableFiles:
+    """A file that is not UTF-8 is one error, coded like an unparseable
+    file of its kind, and the rest of the directory is linted."""
+
+    @pytest.mark.parametrize("name, content, families, code, location", [
+        ("bad.xml", CLEAN_XML.replace("test.Clean", "test.\xff")
+         .encode("latin-1"), [], "DRT100", "bad.xml"),
+        ("bad.json", b'{"rules": [],\n "x": "\xfe"}', [], "DRT600",
+         "bad.json"),
+        ("bad.json", b'{"rules": [],\n "x": "\xfe"}', ["--family", "DRT5"],
+         "DRT500", "bad.json"),
+        ("bad.py", b'x = 1\ny = "\xff"\n', [], "DRT400", "bad.py:2"),
+    ], ids=["xml", "json", "json-rules-family", "py"])
+    def test_is_one_coded_error(self, tmp_path, capsys, name, content,
+                                families, code, location):
+        (tmp_path / name).write_bytes(content)
+        (tmp_path / "warn.xml").write_text(WARN_XML)
+        assert main([str(tmp_path), "--json", *families]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        errors = [record for record in payload["diagnostics"]
+                  if record["severity"] == "error"]
+        assert [(record["code"], record["location"]) for record in errors] \
+            == [(code, str(tmp_path / location))]
+        assert "is not UTF-8: byte 0x" in errors[0]["message"]
+        assert payload["summary"]["sources"] == 2
+        if not families:
+            # warn.xml's own finding: the directory was linted.
+            assert payload["summary"]["by_code"].get("DRT103") == 1
+
+
 class TestListCodes:
     def test_lists_every_code_and_exits_zero(self, capsys):
         assert main(["--list-codes"]) == 0
