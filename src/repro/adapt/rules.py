@@ -281,7 +281,7 @@ def _parse_predicate(data, where, problems, default_param=None):
                          component=component, trend=trend,
                          epochs=epochs, for_epochs=for_epochs)
     op = data.get("op")
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:
         problems.append("%s: 'op' must be one of %s, got %r"
                         % (where, " ".join(sorted(OPS)), op))
         return None

@@ -6,6 +6,9 @@ maps straight onto the RT-domain kernel objects -- shared memory reads/
 writes and mailbox polls -- never through the OSGi side (paper section
 3.3: "the non real-time OSGi implementation will not directly interfere
 with the inter task communication").
+
+A port is found by name in its own direction's map, so a job's port
+access is one string-keyed dict probe.
 """
 
 from repro.core.ports import PortDirection, PortInterface
@@ -29,9 +32,12 @@ class RTContext:
         self.properties = descriptor.property_dict()
         #: Kernel objects backing the ports (name -> SHM or Mailbox).
         self.port_objects = {}
-        # (declared name, direction) -> (port, object) for the bound
-        # ports; bind_ports fills it and unbind_ports clears it.
-        self._bound = {}
+        # Declared name -> (port, object) for the bound ports, one map
+        # per direction; bind_ports fills them, unbind_ports clears them.
+        self._inports = {}
+        self._outports = {}
+        # The writer stamped on SHM writes (the component name).
+        self._writer = descriptor.name
         #: The RT task once started (set by the container).
         self.task = None
         #: Jobs completed since activation.
@@ -53,10 +59,10 @@ class RTContext:
     # ------------------------------------------------------------------
     # port access
     # ------------------------------------------------------------------
-    def _port(self, name, direction):
-        """``(port, object)`` for a port named case-insensitively."""
-        found = self._bound.get((name, direction)) \
-            or self._bound.get((name.upper(), direction))
+    def _port(self, bound, name, direction):
+        """``(port, object)`` from ``bound``, the map of ``direction``'s
+        ports, for a port named case-insensitively."""
+        found = bound.get(name) or bound.get(name.upper())
         if found is not None:
             return found
         for port in self.descriptor.ports:
@@ -72,7 +78,8 @@ class RTContext:
         SHM ports return the whole segment (a list); mailbox ports
         return the next message or ``None`` (non-blocking poll).
         """
-        port, obj = self._port(name, PortDirection.IN)
+        port, obj = self._inports.get(name) \
+            or self._port(self._inports, name, PortDirection.IN)
         if isinstance(obj, SharedMemory):
             return obj.read()
         if isinstance(obj, RTFifo):
@@ -81,7 +88,7 @@ class RTContext:
 
     def inport_age_ns(self, name):
         """Nanoseconds since the inport's SHM segment was written."""
-        port, obj = self._port(name, PortDirection.IN)
+        port, obj = self._port(self._inports, name, PortDirection.IN)
         if not isinstance(obj, SharedMemory):
             raise TypeError("inport %s is not shared memory" % name)
         return obj.age_ns()
@@ -93,12 +100,13 @@ class RTContext:
         element 0); mailbox ports take one message.  Returns True when
         the write landed (mailbox sends may drop when full).
         """
-        port, obj = self._port(name, PortDirection.OUT)
+        port, obj = self._outports.get(name) \
+            or self._port(self._outports, name, PortDirection.OUT)
         if isinstance(obj, SharedMemory):
             if isinstance(values, (list, tuple)):
-                obj.write(list(values), writer=self.name)
+                obj.write(list(values), writer=self._writer)
             else:
-                obj.write_at(0, values, writer=self.name)
+                obj.write_at(0, values, writer=self._writer)
             return True
         if isinstance(obj, Mailbox):
             return obj.send_external(values)
@@ -170,7 +178,7 @@ def bind_ports(ctx, kernel, bindings):
             else:
                 obj = kernel.mailbox(port.name, capacity=port.size)
         ctx.port_objects[port.name] = obj
-        ctx._bound[(port.name, port.direction)] = (port, obj)
+        ctx._outports[port.name] = (port, obj)
     by_inport = {binding.inport.name: binding for binding in bindings}
     for port in descriptor.inports:
         binding = by_inport.get(port.name)
@@ -183,13 +191,14 @@ def bind_ports(ctx, kernel, bindings):
         else:
             obj = kernel.lookup(binding.kernel_object)
         ctx.port_objects[port.name] = obj
-        ctx._bound[(port.name, port.direction)] = (port, obj)
+        ctx._inports[port.name] = (port, obj)
 
 
 def unbind_ports(ctx, kernel):
     """Release the kernel objects backing a component's ports."""
     descriptor = ctx.descriptor
-    ctx._bound.clear()
+    ctx._inports.clear()
+    ctx._outports.clear()
     for port in descriptor.outports + descriptor.inports:
         obj = ctx.port_objects.pop(port.name, None)
         if obj is None:

@@ -53,26 +53,28 @@ class SyntheticImplementation(RTImplementation):
 
     Each job burns the contract WCET, stamps a monotonically increasing
     sequence number into every outport, and polls every inport.  The
-    port lists are resolved once per activation, in :meth:`init`.
+    port names (and each outport's data type) are resolved once per
+    activation, in :meth:`init`.
     """
 
     def init(self, ctx):
         ctx.properties.setdefault("synthetic.sequence", 0)
-        self._outports = ctx.descriptor.outports
-        self._inports = ctx.descriptor.inports
+        self._outports = [(port.name, port.data_type)
+                          for port in ctx.descriptor.outports]
+        self._inports = [port.name for port in ctx.descriptor.inports]
 
     def execute(self, ctx):
         sequence = ctx.properties["synthetic.sequence"] + 1
         ctx.properties["synthetic.sequence"] = sequence
-        for port in self._outports:
-            if port.data_type == "Byte":
-                ctx.write_outport(port.name, sequence % 256)
-            elif port.data_type == "Float":
-                ctx.write_outport(port.name, float(sequence))
+        for name, data_type in self._outports:
+            if data_type == "Byte":
+                ctx.write_outport(name, sequence % 256)
+            elif data_type == "Float":
+                ctx.write_outport(name, float(sequence))
             else:
-                ctx.write_outport(port.name, sequence)
-        for port in self._inports:
-            ctx.read_inport(port.name)
+                ctx.write_outport(name, sequence)
+        for name in self._inports:
+            ctx.read_inport(name)
 
 
 class ImplementationRegistry:

@@ -9,6 +9,12 @@ main functional routine, it tries to read command message sent
 asynchronously", section 3.2).  A non-blocking receive completes at
 once, so the poll reads the mailbox directly instead of yielding a
 ``Receive`` request for the kernel to run the same code.
+
+A periodic job allocates no request and makes no call to learn that
+no command waits: it yields one ``Compute`` request for as long as
+``compute_ns`` returns the same value (the kernel reads a request's
+``ns`` and never writes it), and polls only when the command
+mailbox's queue is non-empty.
 """
 
 from repro.hybrid.protocol import CommandKind, Reply
@@ -36,20 +42,25 @@ class RealTimePart:
     # ------------------------------------------------------------------
     def _periodic_body(self, task):
         ctx = self.ctx
+        commands = self.bridge.command_mailbox.messages
+        request = None
         while True:
             latency = yield _WAIT_PERIOD
             ctx.last_latency = latency
             compute = self.implementation.compute_ns(ctx)
             if compute > 0:
-                yield Compute(compute)
+                if request is None or request.ns != compute:
+                    request = Compute(compute)
+                yield request
             self.implementation.execute(ctx)
             ctx.job_index += 1
             # Asynchronous management poll -- never blocks (section 3.2).
-            suspend = self._poll_commands()
-            if suspend == "stop":
-                return
-            if suspend == "suspend":
-                yield SuspendSelf()
+            if commands:
+                suspend = self._poll_commands()
+                if suspend == "stop":
+                    return
+                if suspend == "suspend":
+                    yield SuspendSelf()
 
     def _aperiodic_body(self, task):
         ctx = self.ctx

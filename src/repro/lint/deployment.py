@@ -85,6 +85,7 @@ here: node-local only if that argument holds for it.
 """
 
 import json
+import math
 import os
 from operator import attrgetter
 
@@ -113,6 +114,12 @@ _NODE_KEYS = frozenset(("name", "num_cpus", "cap"))
 _LINK_KEYS = frozenset(("src", "dst", "latency_ns", "jitter_ns",
                         "drop_probability"))
 
+#: The most CPUs a plan node may declare: the largest count a Linux
+#: kernel is built for (x86-64 ``CONFIG_NR_CPUS`` under ``MAXSMP``).
+#: The hosting check keeps one load slot per CPU, so an unbounded
+#: count is an unbounded allocation (10**9 CPUs would take 8 GB).
+MAX_NODE_CPUS = 8192
+
 
 def looks_like_plan_file(text):
     """Whether a ``.json`` source is a deployment plan.
@@ -135,8 +142,11 @@ def looks_like_plan_file(text):
 
 
 def _is_number(value):
+    """A finite int or float (not a bool): the plan's numbers, read as
+    fault plans read theirs (``Infinity`` and ``NaN`` parse as JSON)."""
     return isinstance(value, (int, float)) \
-        and not isinstance(value, bool)
+        and not isinstance(value, bool) \
+        and not (isinstance(value, float) and not math.isfinite(value))
 
 
 class PlanNode:
@@ -214,7 +224,7 @@ def _parse_link(data, where, problems):
     for field in ("latency_ns", "jitter_ns", "drop_probability"):
         if field in data:
             if not _is_number(data[field]):
-                problems.append("%s.%s must be a number, got %r"
+                problems.append("%s.%s must be a finite number, got %r"
                                 % (where, field, data[field]))
                 return None
             kwargs[field] = data[field]
@@ -252,14 +262,15 @@ def _parse_nodes(document, plan, default_cap, problems):
             problems.append("duplicate node name %r" % name)
             continue
         num_cpus = data.get("num_cpus", 1)
-        if not isinstance(num_cpus, int) \
-                or isinstance(num_cpus, bool) or num_cpus < 1:
-            problems.append("%s.num_cpus must be a positive integer"
-                            % where)
+        if not isinstance(num_cpus, int) or isinstance(num_cpus, bool) \
+                or not 1 <= num_cpus <= MAX_NODE_CPUS:
+            problems.append("%s.num_cpus must be an integer in 1..%d, "
+                            "got %r" % (where, MAX_NODE_CPUS, num_cpus))
             continue
         cap = data.get("cap", default_cap)
         if not _is_number(cap) or cap <= 0:
-            problems.append("%s.cap must be a positive number" % where)
+            problems.append("%s.cap must be a positive finite number"
+                            % where)
             continue
         plan.nodes[name] = PlanNode(name, num_cpus, float(cap))
 
@@ -298,6 +309,10 @@ def _parse_deployments(document, plan, base_dir, problems):
             problems.append("%s must be an object" % where)
             continue
         node_name = data.get("node")
+        if not isinstance(node_name, str):
+            problems.append("%s.node must be a node name, got %r"
+                            % (where, node_name))
+            continue
         if node_name not in plan.nodes:
             problems.append("%s targets unknown node %r"
                             % (where, node_name))
@@ -423,7 +438,7 @@ def parse_plan(document, location="<plan>", base_dir=None):
         plan.name = name
     default_cap = document.get("cap", 1.0)
     if not _is_number(default_cap) or default_cap <= 0:
-        problems.append("'cap' must be a positive number")
+        problems.append("'cap' must be a positive finite number")
         default_cap = 1.0
     _parse_nodes(document, plan, default_cap, problems)
     if "default_link" in document:
@@ -445,6 +460,13 @@ def parse_plan(document, location="<plan>", base_dir=None):
             continue
         src = data.get("src")
         dst = data.get("dst")
+        wrong = [field for field in ("src", "dst")
+                 if data.get(field) is not None
+                 and not isinstance(data[field], str)]
+        if wrong:
+            problems.append("%s.%s must be an endpoint name, got %r"
+                            % (where, wrong[0], data[wrong[0]]))
+            continue
         if src not in endpoints or dst not in endpoints:
             problems.append(
                 "%s connects unknown endpoint(s) %r -> %r (known: "

@@ -61,6 +61,33 @@ TIMER_ONESHOT = "oneshot"
 #: Plumbing names are a ``$X`` prefix plus a four-digit index.
 _NAME_INDICES = 10000
 
+#: ``rtos`` counter name -> the :class:`KernelTally` attribute it
+#: reads, in the order the counters are created.
+_TALLIED = (
+    ("dispatches_total", "dispatches"),
+    ("context_switches_total", "context_switches"),
+    ("preemptions_total", "preemptions"),
+    ("releases_total", "releases"),
+    ("overruns_total", "overruns"),
+    ("deadline_misses_total", "deadline_misses"),
+)
+
+
+class KernelTally:
+    """One kernel's per-event counts, as plain ints.
+
+    The kernel bumps these on its per-job path (``tally.x += 1``, no
+    call); the ``rtos`` counters read them through
+    :meth:`~repro.telemetry.metrics.Counter.add_source`.  They count
+    whether telemetry is on or off.
+    """
+
+    __slots__ = tuple(attribute for _, attribute in _TALLIED)
+
+    def __init__(self):
+        for attribute in self.__slots__:
+            setattr(self, attribute, 0)
+
 
 class KernelConfig:
     """Tunable constants of the simulated hardware/kernel.
@@ -147,28 +174,22 @@ class RTKernel:
         # Round-robin is off by default; when it is, _begin_compute can
         # skip the quantum-arming helper entirely.
         self._rr_enabled = bool(self.config.rr_quantum_ns)
-        # Telemetry instruments (cached; no-ops when telemetry is off).
-        # The counters touched per dispatch/release cache the bound
-        # ``inc`` method itself -- when telemetry is disabled these are
-        # the shared null singletons' no-ops, so there is no enabled/
-        # disabled branch anywhere on the hot path.
+        # Telemetry.  The per-event counts live in this kernel's tally
+        # and its schedulers' ``enqueues``/``dequeues``, registered as
+        # sources of the (shared) rtos counters, so every kernel on
+        # this Telemetry -- a crashed cluster node's too -- adds in.
         metrics = sim.telemetry.registry("rtos")
-        self._m_dispatches = metrics.counter("dispatches_total")
-        self._m_context_switches = metrics.counter(
-            "context_switches_total")
-        self._m_preemptions = metrics.counter("preemptions_total")
-        self._m_releases = metrics.counter("releases_total")
-        self._m_overruns = metrics.counter("overruns_total")
-        self._m_deadline_misses = metrics.counter("deadline_misses_total")
+        self._tally = tally = KernelTally()
+        for name, attribute in _TALLIED:
+            metrics.counter(name).add_source(tally, attribute)
         self._m_faults = metrics.counter("task_faults_total")
-        self._m_latency = metrics.histogram("dispatch_latency_ns")
-        self._inc_dispatches = self._m_dispatches.inc
-        self._inc_releases = self._m_releases.inc
-        self._observe_latency = self._m_latency.observe
+        self._observe_latency = metrics.histogram(
+            "dispatch_latency_ns").observe
         ready_enqueues = metrics.counter("ready_enqueues_total")
         ready_dequeues = metrics.counter("ready_dequeues_total")
         for scheduler in self._schedulers.values():
-            scheduler.bind_counters(ready_enqueues, ready_dequeues)
+            ready_enqueues.add_source(scheduler, "enqueues")
+            ready_dequeues.add_source(scheduler, "dequeues")
         self._last_ran = {cpu: None for cpu in cpus}
         #: Optional callback ``(task, error)`` invoked (deferred to the
         #: current instant's end) when a task body raises.  The DRCR
@@ -476,12 +497,12 @@ class RTKernel:
             task._pending_value = None
             task._release_nominal = self.sim.now
             task.stats.activations += 1
-            self._m_releases.inc()
+            self._tally.releases += 1
             self._trace("task_release", task=task.name)
             self._make_ready(task)
         else:
             task.stats.overruns += 1
-            self._m_overruns.inc()
+            self._tally.overruns += 1
             self._trace("task_release_overrun", task=task.name)
 
     def suspend_task(self, task):
@@ -640,7 +661,8 @@ class RTKernel:
                 raise DuplicateNameError(
                     "SHM %r exists with different type/size" % name)
             return existing.attach(owner)
-        segment = SharedMemory(lambda: self.sim.now, name, dtype, size)
+        sim = self.sim
+        segment = SharedMemory(lambda: sim._now, name, dtype, size)
         self._register(segment.name, segment)
         self._trace("shm_alloc", name=segment.name, dtype=dtype, size=size)
         return segment.attach(owner)
@@ -754,7 +776,7 @@ class RTKernel:
             fire, PRIORITY_INTERRUPT, self._on_release, (task, chained),
             task._label_release)
         task.stats.activations += 1
-        self._inc_releases()
+        self._tally.releases += 1
         if task._tap is not None:
             task._tap.on_release(nominal)
         if state is TaskState.SUSPENDED:
@@ -793,7 +815,7 @@ class RTKernel:
             # Task has not finished its previous job yet: overrun.  The
             # pending nominal makes the next WaitPeriod return at once.
             task.stats.overruns += 1
-            self._m_overruns.inc()
+            self._tally.overruns += 1
             task._pending_nominals.append(nominal)
             self._trace("overrun", task=task.name, nominal=nominal)
 
@@ -880,9 +902,10 @@ class RTKernel:
         now = self.sim._now
         if self._segment_start[cpu] is None:
             self._segment_start[cpu] = now
-        self._inc_dispatches()
+        tally = self._tally
+        tally.dispatches += 1
         if self._last_ran[cpu] is not task:
-            self._m_context_switches.inc()
+            tally.context_switches += 1
             self._last_ran[cpu] = task
         if self.config.trace_kernel:
             self._trace("dispatch", task=task.name, cpu=cpu)
@@ -952,7 +975,7 @@ class RTKernel:
         self._take_off_cpu(task)
         task.state = TaskState.READY
         task.stats.preemptions += 1
-        self._m_preemptions.inc()
+        self._tally.preemptions += 1
         self._schedulers[cpu].add(task)
         if self.config.trace_kernel:
             self._trace("preempt", task=task.name, cpu=cpu)
@@ -1096,7 +1119,7 @@ class RTKernel:
                 deadline = task._release_nominal + task.deadline_ns
                 if now > deadline:
                     task.stats.deadline_misses += 1
-                    self._m_deadline_misses.inc()
+                    self._tally.deadline_misses += 1
                     self._trace("deadline_miss", task=task.name,
                                 nominal=task._release_nominal,
                                 lateness=now - deadline)
@@ -1216,7 +1239,7 @@ class RTKernel:
                 deadline = task._release_nominal + task.deadline_ns
                 if self.sim.now > deadline:
                     task.stats.deadline_misses += 1
-                    self._m_deadline_misses.inc()
+                    self._tally.deadline_misses += 1
                     self._trace("deadline_miss", task=task.name,
                                 nominal=task._release_nominal,
                                 lateness=self.sim.now - deadline)

@@ -59,6 +59,14 @@ class Mailbox:
         return len(self._messages)
 
     @property
+    def messages(self):
+        """The queued messages, oldest first: the live deque, for a
+        poller that tests its truth before receiving.  Read it, never
+        change it; no method rebinds it (``drain`` clears it in
+        place)."""
+        return self._messages
+
+    @property
     def full(self):
         """Whether a non-blocking send would fail right now."""
         return len(self._messages) >= self.capacity

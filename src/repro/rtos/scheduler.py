@@ -20,10 +20,16 @@ of running ``min()`` over the level keys -- the same O(1) trick RTAI's
 own scheduler uses over its 2-level bitmap.  A side ``set`` of ready
 tasks turns the duplicate-insert guard from an O(level) deque scan into
 one hash probe; that set is the ``ready`` container every policy
-exposes.  Priorities are expected to be small non-negative
+exposes.  A level's deque is kept when it empties (only its bitmap bit
+is cleared), so a task alone at its priority allocates nothing per
+job.  Priorities are expected to be small non-negative
 integers (RTAI convention; descriptor validation keeps them in range) --
 the bitmap is an arbitrary-precision int, so larger values stay correct,
 they just cost proportionally more bits.
+
+Every policy counts its ready-queue traffic in two plain ints,
+``enqueues`` and ``dequeues``; the kernel registers them as sources of
+the ``rtos.ready_enqueues_total``/``ready_dequeues_total`` counters.
 """
 
 import heapq
@@ -31,7 +37,6 @@ import itertools
 from collections import deque
 
 from repro.rtos.errors import SchedulerError
-from repro.telemetry.metrics import NULL_COUNTER
 
 
 class Scheduler:
@@ -46,17 +51,10 @@ class Scheduler:
     #: Human-readable policy name (used in traces and benchmarks).
     policy = "abstract"
 
-    #: Telemetry counters for ready-queue traffic.  Class-level null
-    #: defaults keep standalone schedulers (unit tests, analyses)
-    #: zero-cost; the kernel rebinds them via :meth:`bind_counters`.
-    _enqueues = NULL_COUNTER
-    _dequeues = NULL_COUNTER
-
-    def bind_counters(self, enqueues, dequeues):
-        """Attach telemetry counters for add/remove traffic (the kernel
-        shares one pair across all per-CPU scheduler instances)."""
-        self._enqueues = enqueues
-        self._dequeues = dequeues
+    def __init__(self):
+        #: Tasks added to and removed from the ready set so far.
+        self.enqueues = 0
+        self.dequeues = 0
 
     def add(self, task):
         """Insert a task into the ready set."""
@@ -108,6 +106,7 @@ class PriorityScheduler(Scheduler):
     policy = "priority"
 
     def __init__(self, rr_quantum_ns=None):
+        super().__init__()
         self._levels = {}
         self._bitmap = 0
         self.ready = set()
@@ -118,12 +117,13 @@ class PriorityScheduler(Scheduler):
             raise SchedulerError("task %s already ready" % task.name)
         priority = task.priority
         queue = self._levels.get(priority)
-        if queue is None:
-            queue = self._levels[priority] = deque()
+        if not queue:
+            if queue is None:
+                queue = self._levels[priority] = deque()
             self._bitmap |= 1 << priority
         queue.append(task)
         self.ready.add(task)
-        self._enqueues.inc()
+        self.enqueues += 1
 
     def remove(self, task):
         if task not in self.ready:
@@ -136,10 +136,10 @@ class PriorityScheduler(Scheduler):
         else:
             queue.remove(task)
         if not queue:
-            del self._levels[priority]
+            # Keep the empty deque for the level's next task.
             self._bitmap &= ~(1 << priority)
         self.ready.discard(task)
-        self._dequeues.inc()
+        self.dequeues += 1
 
     def pick(self):
         bitmap = self._bitmap
@@ -179,6 +179,7 @@ class EDFScheduler(Scheduler):
     policy = "edf"
 
     def __init__(self):
+        super().__init__()
         self._heap = []
         #: task -> its heap entry.
         self.ready = {}
@@ -209,14 +210,14 @@ class EDFScheduler(Scheduler):
         entry = [self._key(task), next(self._counter), task, True]
         self.ready[task] = entry
         heapq.heappush(self._heap, entry)
-        self._enqueues.inc()
+        self.enqueues += 1
 
     def remove(self, task):
         entry = self.ready.pop(task, None)
         if entry is None:
             raise SchedulerError("task %s not in ready set" % task.name)
         entry[3] = False  # lazy deletion
-        self._dequeues.inc()
+        self.dequeues += 1
 
     def pick(self):
         while self._heap:

@@ -19,29 +19,46 @@ already holds (``kernel.sim.telemetry``, ``drcr.kernel.sim.telemetry``).
 
 Cost discipline
 ---------------
-Instrument updates sit on the kernel's hot paths (one counter per
-simulator event, a few per dispatch), so they are plain attribute
-arithmetic -- no locks, no string formatting, no dict lookups after the
-instrument is created.  Creating instruments *is* a dict lookup
-(get-or-create), so hot paths cache the instrument in an attribute at
-construction time.  ``Telemetry(enabled=False)`` swaps every instrument
-for a shared null object whose methods do nothing, which is the single
-switch that turns the whole layer off.
+Instrument updates sit on the kernel's hot paths (a few per dispatch),
+so the per-event work is plain attribute arithmetic -- no locks, no
+string formatting, no dict lookups after the instrument is created.
+Creating instruments *is* a dict lookup (get-or-create), so callers
+cache the instrument in an attribute at construction time.
+``Telemetry(enabled=False)`` swaps every instrument for a shared null
+object whose methods do nothing, which is the single switch that turns
+the whole layer off.
 
-Two further conventions keep the hot paths branch-free (see
-docs/PERFORMANCE.md): callers that fire an instrument per event cache
-the **bound method** (``counter.inc``, ``histogram.observe``) in an
-attribute -- with telemetry disabled that attribute *is* the null
-singleton's no-op, so there is no enabled/disabled test anywhere on the
-path -- and per-event counters that admit batching are folded into one
-``inc(n)`` per run window (``sim.events_total`` does this inside
-``Simulator.run``).
+Three conventions keep the per-job path short (docs/PERFORMANCE.md):
+
+* **Tallies.**  A layer that counts an event on every job keeps the
+  count itself, as an int attribute of an object it owns (the kernel's
+  :class:`~repro.rtos.kernel.KernelTally`, each scheduler's
+  ``enqueues``/``dequeues``), and bumps it with ``+= 1``.  At
+  construction it registers the attribute with the counter --
+  ``registry.counter(name).add_source(owner, "attribute")`` -- and the
+  counter's ``value`` is its own :meth:`Counter.inc` total plus every
+  registered attribute, read at the moment ``value`` is read.  A source
+  stays registered for the counter's life, so a counter never
+  decreases.  The null counter ignores sources.
+* **Batched histograms.**  :meth:`Histogram.observe` appends the sample
+  to a pending list; the histogram folds pending samples into its
+  buckets and summary statistics, in arrival order, when
+  :data:`HISTOGRAM_BATCH` are pending and before every read
+  (``counts``, ``stats``, ``count``, ``buckets()``, ``as_dict()``), so
+  a read at any point sees every sample.
+* **Windowed increments.**  Per-event counters that admit batching are
+  folded into one ``inc(n)`` per run window (``sim.events_total`` does
+  this inside ``Simulator.run``).
 """
 
 import bisect
 import math
 
 from repro.sim.stats import RunningStats
+
+#: Samples a :class:`Histogram` holds pending before it folds them in.
+#: Reads fold at once, so this bounds memory, not what a read sees.
+HISTOGRAM_BATCH = 256
 
 #: Default histogram buckets for nanosecond latencies.  Scheduling
 #: latency in this repository can be *negative* (the calibrated timer
@@ -57,20 +74,38 @@ class MetricsError(ValueError):
 
 
 class Counter:
-    """A monotonically increasing counter."""
+    """A monotonically increasing counter.
 
-    __slots__ = ("name", "value")
+    Its :attr:`value` is its own :meth:`inc` total plus the int
+    attribute of every source registered with :meth:`add_source`.
+    """
+
+    __slots__ = ("name", "_count", "_sources")
     kind = "counter"
 
     def __init__(self, name):
         self.name = name
-        self.value = 0
+        self._count = 0
+        self._sources = []
 
     def inc(self, amount=1):
         """Add ``amount`` (default 1; must not be negative)."""
         if amount < 0:
             raise MetricsError("counter %s cannot decrease" % self.name)
-        self.value += amount
+        self._count += amount
+
+    def add_source(self, owner, attribute):
+        """Also count ``owner.<attribute>``: an int its owner keeps and
+        only ever raises (a per-event tally on a hot path)."""
+        self._sources.append((owner, attribute))
+
+    @property
+    def value(self):
+        """The count: own increments plus every source, read now."""
+        value = self._count
+        for owner, attribute in self._sources:
+            value += getattr(owner, attribute)
+        return value
 
     def as_dict(self):
         """Plain-data (JSON-safe) view."""
@@ -119,9 +154,14 @@ class Histogram:
     implicit overflow (``+inf``) bucket.  Mean/min/max/stdev come from a
     :class:`~repro.sim.stats.RunningStats`, so they are exact regardless
     of the bucket grid.
+
+    :meth:`observe` only appends to a pending list; pending samples are
+    folded in arrival order, by the same arithmetic a per-sample fold
+    runs, when :data:`HISTOGRAM_BATCH` are pending and before every
+    read, so every read sees every sample.
     """
 
-    __slots__ = ("name", "bounds", "counts", "stats")
+    __slots__ = ("name", "bounds", "_counts", "_stats", "_pending")
     kind = "histogram"
 
     def __init__(self, name, bounds=DEFAULT_LATENCY_BOUNDS_NS):
@@ -135,13 +175,40 @@ class Histogram:
                 % (name, bounds))
         self.name = name
         self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
-        self.stats = RunningStats()
+        self._counts = [0] * (len(bounds) + 1)
+        self._stats = RunningStats()
+        self._pending = []
 
     def observe(self, value):
-        """Fold one sample into the distribution."""
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.stats.add(value)
+        """Record one sample (folded in before the next read)."""
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= HISTOGRAM_BATCH:
+            self._fold()
+
+    def _fold(self):
+        """Fold the pending samples in, oldest first."""
+        pending = self._pending
+        if not pending:
+            return
+        counts = self._counts
+        bounds = self.bounds
+        for value in pending:
+            counts[bisect.bisect_left(bounds, value)] += 1
+        self._stats.add_all(pending)
+        pending.clear()
+
+    @property
+    def counts(self):
+        """Per-bucket sample counts; the last is the overflow bucket."""
+        self._fold()
+        return self._counts
+
+    @property
+    def stats(self):
+        """The :class:`~repro.sim.stats.RunningStats` of every sample."""
+        self._fold()
+        return self._stats
 
     @property
     def count(self):
@@ -154,13 +221,14 @@ class Histogram:
 
     def as_dict(self):
         """Plain-data (JSON-safe) view; min/max are None when empty."""
-        empty = self.stats.count == 0
+        stats = self.stats
+        empty = stats.count == 0
         return {
             "type": self.kind,
-            "count": self.stats.count,
-            "mean": None if empty else self.stats.mean,
-            "min": None if empty else self.stats.minimum,
-            "max": None if empty else self.stats.maximum,
+            "count": stats.count,
+            "mean": None if empty else stats.mean,
+            "min": None if empty else stats.minimum,
+            "max": None if empty else stats.maximum,
             "buckets": {
                 ("le_%g" % bound if bound != math.inf else "inf"): count
                 for bound, count in self.buckets()
@@ -168,7 +236,7 @@ class Histogram:
         }
 
     def __repr__(self):
-        return "Histogram(%s, n=%d)" % (self.name, self.stats.count)
+        return "Histogram(%s, n=%d)" % (self.name, self.count)
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +252,9 @@ class NullCounter:
 
     def inc(self, amount=1):
         """Do nothing."""
+
+    def add_source(self, owner, attribute):
+        """Ignore the source."""
 
     def as_dict(self):
         """Empty view."""

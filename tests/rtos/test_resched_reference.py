@@ -68,7 +68,7 @@ class ReferenceKernel(RTKernel):
             fire, PRIORITY_INTERRUPT, self._on_release, (task, chained),
             task._label_release)
         task.stats.activations += 1
-        self._inc_releases()
+        self._tally.releases += 1
         if task._tap is not None:
             task._tap.on_release(nominal)
         if state is TaskState.SUSPENDED:
@@ -93,7 +93,7 @@ class ReferenceKernel(RTKernel):
                           (cpu,), "resched")
         else:
             task.stats.overruns += 1
-            self._m_overruns.inc()
+            self._tally.overruns += 1
             task._pending_nominals.append(nominal)
             self._trace("overrun", task=task.name, nominal=nominal)
 
@@ -120,7 +120,7 @@ class ReferenceKernel(RTKernel):
                 deadline = task._release_nominal + task.deadline_ns
                 if self.sim.now > deadline:
                     task.stats.deadline_misses += 1
-                    self._m_deadline_misses.inc()
+                    self._tally.deadline_misses += 1
                     self._trace("deadline_miss", task=task.name,
                                 nominal=task._release_nominal,
                                 lateness=self.sim.now - deadline)
